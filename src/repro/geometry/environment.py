@@ -301,6 +301,12 @@ class Environment:
     def ray_free_distance(self, origin: np.ndarray, direction: np.ndarray, max_dist: float) -> float:
         """Distance travelled from ``origin`` along ``direction`` before
         hitting an obstacle or the workspace boundary, capped at ``max_dist``.
+
+        One slab pass over all boxes: per axis, the entry/exit parameters
+        are ``(lo - o) / u`` and ``(hi - o) / u``; an axis with ``u == 0``
+        misses a box whose slab does not contain the origin.  A box counts
+        when its entry parameter ``t`` satisfies ``0 <= t < best``, where
+        ``best`` starts at ``min(max_dist, bounds exit)``.
         """
         origin = np.asarray(origin, dtype=float)
         direction = np.asarray(direction, dtype=float)
@@ -310,13 +316,20 @@ class Environment:
         u = direction / norm
         self.counters.segment_checks += max(1, self._obs_lo.shape[0])
 
-        # Exit parameter through the workspace bounds.
-        t_exit = _ray_box_exit(origin, u, self.bounds.lo, self.bounds.hi)
-        best = min(max_dist, t_exit)
-        for lo, hi in zip(self._obs_lo, self._obs_hi):
-            t_enter = _ray_box_enter(origin, u, lo, hi)
-            if t_enter is not None and 0.0 <= t_enter < best:
-                best = t_enter
+        moving = u != 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Exit parameter through the workspace bounds.
+            t_bounds = np.where(u > 0.0, self.bounds.hi - origin, self.bounds.lo - origin) / u
+            t_exit = float(np.min(t_bounds, where=moving, initial=np.inf))
+            best = min(max_dist, max(t_exit, 0.0))
+            ta = (self._obs_lo - origin) / u  # (m, d)
+            tb = (self._obs_hi - origin) / u
+            t0 = np.max(np.minimum(ta, tb), axis=1, where=moving, initial=-np.inf)
+            t1 = np.min(np.maximum(ta, tb), axis=1, where=moving, initial=np.inf)
+        outside = (origin < self._obs_lo) | (origin > self._obs_hi)
+        hit = (t0 <= t1) & (t1 >= 0.0) & ~np.any(outside & ~moving, axis=1)
+        if hit.any():
+            best = min(best, float(np.maximum(t0[hit], 0.0).min()))
         return max(best, 0.0)
 
     # -- sampling helpers -----------------------------------------------------
@@ -351,34 +364,3 @@ class Environment:
             f"obstacles={self.num_obstacles}, blocked={blocked})"
         )
 
-
-def _ray_box_enter(origin, u, lo, hi):
-    """Parameter t >= 0 where ray origin+t*u first enters [lo,hi]; None if it misses."""
-    t0, t1 = -np.inf, np.inf
-    for i in range(origin.shape[0]):
-        if u[i] == 0.0:
-            if origin[i] < lo[i] or origin[i] > hi[i]:
-                return None
-        else:
-            ta = (lo[i] - origin[i]) / u[i]
-            tb = (hi[i] - origin[i]) / u[i]
-            if ta > tb:
-                ta, tb = tb, ta
-            t0 = max(t0, ta)
-            t1 = min(t1, tb)
-            if t0 > t1:
-                return None
-    if t1 < 0.0:
-        return None
-    return max(t0, 0.0)
-
-
-def _ray_box_exit(origin, u, lo, hi) -> float:
-    """Parameter t >= 0 where a ray starting inside [lo,hi] exits it."""
-    t1 = np.inf
-    for i in range(origin.shape[0]):
-        if u[i] > 0.0:
-            t1 = min(t1, (hi[i] - origin[i]) / u[i])
-        elif u[i] < 0.0:
-            t1 = min(t1, (lo[i] - origin[i]) / u[i])
-    return max(t1, 0.0)

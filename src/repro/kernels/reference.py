@@ -60,13 +60,30 @@ def pairwise_accumulate_exact(stored: np.ndarray, queries: np.ndarray, out: np.n
     np.sqrt(s, out=out)
 
 
+#: ``n * m`` (points x boxes) from which :func:`points_hit_boxes` ANDs
+#: per-axis ``(n, m)`` comparisons instead of reducing the ``(n, m, d)``
+#: broadcast.  Measured crossover: below it (a single box, or the few
+#: boxes of a BVH leaf) the broadcast's fewer NumPy calls win; above it
+#: the per-axis form is 2-7x faster (125 boxes, n = 8-512).
+_PER_AXIS_MIN_CELLS = 256
+
+
 def points_hit_boxes(box_lo: np.ndarray, box_hi: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """``(n,)`` bool: point is inside (inclusively) some box — the exact
-    containment expression of the historical ``points_in_collision``."""
-    return np.all(
-        (pts[:, None, :] >= box_lo[None, :, :]) & (pts[:, None, :] <= box_hi[None, :, :]),
-        axis=2,
-    ).any(axis=1)
+    containment expression of the historical ``points_in_collision``.
+
+    Both forms below compute the same exact booleans; which one runs is
+    a pure speed choice made on the ``n * m`` cell count."""
+    if pts.shape[0] * box_lo.shape[0] < _PER_AXIS_MIN_CELLS:
+        return np.all(
+            (pts[:, None, :] >= box_lo[None, :, :]) & (pts[:, None, :] <= box_hi[None, :, :]),
+            axis=2,
+        ).any(axis=1)
+    hit = (pts[:, 0, None] >= box_lo[:, 0]) & (pts[:, 0, None] <= box_hi[:, 0])
+    for j in range(1, pts.shape[1]):
+        hit &= pts[:, j, None] >= box_lo[:, j]
+        hit &= pts[:, j, None] <= box_hi[:, j]
+    return hit.any(axis=1)
 
 
 def points_hit_spheres(sph_center: np.ndarray, sph_radius: np.ndarray, pts: np.ndarray) -> np.ndarray:

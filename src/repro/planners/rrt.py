@@ -13,10 +13,16 @@ exactly while vectorising the per-iteration array work in blocks,
 mirroring the predict-validate-replay strategy of
 :class:`repro.planners.prm.PRM`:
 
-1. **Sample** a block's worth of ``q_rand`` draws up front, replaying the
-   oracle's RNG call sequence call-for-call (one ``random()`` per bias
-   gate, one ``cspace.sample`` otherwise), so every sample is
-   bit-identical to what the sequential loop would draw.
+1. **Sample** a block's worth of ``q_rand`` draws up front by cursor
+   replay over one bulk ``rng.random(N)`` buffer (:class:`_DrawCursor`,
+   carried across blocks).  Each iteration reads one double per bias
+   gate the oracle would test; a uniform iteration then reads ``dim``
+   doubles ``u`` and maps them as ``lo + (hi - lo) * u``, which is
+   bit-for-bit ``Generator.uniform``.  So every sample equals what the
+   sequential loop would draw, and at the end the generator is re-synced
+   to exactly the draws the replayed blocks consumed.  Spaces that
+   override :meth:`ConfigurationSpace.sample` replay the oracle's calls
+   one by one instead.
 2. **Batch the nearest-neighbour work**: distances from all block samples
    to the frozen tree are one broadcast; nodes accepted *inside* the
    block contribute one incremental distance column each, so the nearest
@@ -37,6 +43,13 @@ mirroring the predict-validate-replay strategy of
    cache, charging :class:`PlannerStats` per the oracle; a replay that
    needs a verdict the prediction missed (an acceptance moved some later
    sample's nearest node) pauses and re-predicts from the updated state.
+   Re-prediction is dirty-row only: an acceptance can change sample
+   *i*'s nearest node only when its distance column is ``<=`` the
+   running block minimum of row *i*, so only those rows (and the row
+   that missed) are re-examined; every other pending row's verdict is
+   already in the cache.  The cache key names the nearest vertex, so a
+   stale verdict can never be replayed: the dirty set only decides how
+   much one re-predict round validates at once.
 
 The environment's ``CollisionCounters`` are rescaled from the
 speculative charge to the replayed one at the end of the call — the
@@ -67,6 +80,69 @@ __all__ = ["RRT", "RRTResult"]
 #: blocks re-predict on acceptance cache misses, so bigger blocks amortise
 #: the frozen-tree distance broadcast better).
 _BLOCK = 128
+
+#: Minimum doubles drawn per refill of a :class:`_DrawCursor` buffer.
+_DRAW_CHUNK = 2048
+
+
+class _DrawCursor:
+    """Replays scalar ``rng.random()`` / ``Generator.uniform`` calls from
+    one bulk ``rng.random`` buffer read through a cursor.
+
+    A scalar ``random()`` is the next double of the stream, and
+    ``uniform(lo, hi)`` over ``dim`` axes is the next ``dim`` doubles
+    ``u`` mapped as ``lo + (hi - lo) * u`` — the same arithmetic, so the
+    values are bit-identical.  The buffer carries over between blocks;
+    :meth:`sync` rewinds the generator and re-advances it by exactly the
+    doubles consumed, so it ends where the scalar calls would leave it.
+    """
+
+    def __init__(self, rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray):
+        self.rng = rng
+        self.lo = lo
+        self.span = hi - lo
+        self.start_state = rng.bit_generator.state
+        self.buf = np.empty(0)
+        self.vals: "list[float]" = []
+        self.pos = 0
+        self.consumed = 0  # doubles consumed before buf[0]
+
+    def block(self, B: int, gates: int, gate_p: float) -> "tuple[list[int], np.ndarray]":
+        """Replay ``B`` iterations of up to ``gates`` bias gates each.
+
+        Returns ``(kind, uniform)``: ``kind[b]`` is the index of the gate
+        that fired on iteration ``b`` (``-1`` for a uniform draw), and
+        ``uniform`` holds the uniform samples in iteration order.
+        """
+        dim = self.lo.shape[0]
+        need = B * (gates + dim)
+        if len(self.vals) - self.pos < need:
+            fresh = self.rng.random(max(need, _DRAW_CHUNK))
+            self.consumed += self.pos
+            self.buf = np.concatenate((self.buf[self.pos:], fresh))
+            self.vals = self.buf.tolist()
+            self.pos = 0
+        vals = self.vals
+        p = self.pos
+        kind = [-1] * B
+        starts: "list[int]" = []
+        for b in range(B):
+            for g in range(gates):
+                p += 1
+                if vals[p - 1] < gate_p:
+                    kind[b] = g
+                    break
+            else:
+                starts.append(p)
+                p += dim
+        self.pos = p
+        idx = np.asarray(starts, dtype=np.int64)[:, None] + np.arange(dim)
+        return kind, self.lo + self.span * self.buf[idx]
+
+    def sync(self) -> None:
+        """Leave the generator exactly after the doubles consumed."""
+        self.rng.bit_generator.state = self.start_state
+        self.rng.random(self.consumed + self.pos)
 
 
 @dataclass
@@ -310,6 +386,15 @@ class RRT:
 
         bias_cfg = np.asarray(bias_target, dtype=float) if bias_target is not None else None
         goal_cfg = np.asarray(goal, dtype=float) if goal is not None else None
+        # The oracle's per-iteration gates, in the order it tests them.
+        gates = [(cfg, key) for cfg, key in ((bias_cfg, "bias"), (goal_cfg, "goal"))
+                 if cfg is not None]
+        # Cursor replay reproduces the inherited uniform sampler only.
+        cursor = (
+            _DrawCursor(rng, cspace.bounds.lo, cspace.bounds.hi)
+            if type(cspace).sample is ConfigurationSpace.sample
+            else None
+        )
 
         # Insertion-order store of every tree configuration — the same
         # layout the oracle's NeighborFinder holds, so the tie-break
@@ -362,15 +447,18 @@ class RRT:
             it += B
             # -- 1. replay the sampling RNG exactly -----------------------
             skey: "list[object]" = [None] * B
-            if bias_cfg is None and goal_cfg is None:
-                # No bias gates: the oracle consumes exactly B uniform
-                # draws, which one bulk call replays bit-for-bit (the
-                # generator fills row-major with the same per-element
-                # arithmetic as B scalar draws).
-                samples = np.atleast_2d(np.asarray(cspace.sample(rng, B), dtype=float))
+            if cursor is not None:
+                kind, uniform = cursor.block(B, len(gates), self.goal_bias)
+                samples = np.empty((B, dim))
+                samples[[b for b in range(B) if kind[b] < 0]] = uniform
                 for b in range(B):
-                    skey[b] = it - B + b
+                    if kind[b] < 0:
+                        skey[b] = it - B + b  # globally unique per uniform draw
+                    else:
+                        samples[b], skey[b] = gates[kind[b]]
             else:
+                # The space samples its own way: replay the oracle's
+                # calls one by one.
                 samples = np.empty((B, dim))
                 for b in range(B):
                     if bias_cfg is not None and rng.random() < self.goal_bias:
@@ -453,12 +541,17 @@ class RRT:
                 row = int(np.argmin(d))
                 return (int(store_ids[row]), float(d[row]), row)
 
-            pending = list(range(B))
-            while pending and alive:
+            # Rows whose nearest node may have changed since their last
+            # prediction; the rest already have their verdict cached.
+            dirty = np.ones(B, dtype=bool)
+            start = 0
+            while start < B and alive:
                 # -- predict & batch-validate the verdicts replay needs --
                 need: "list[tuple[tuple[int, object], int, float, int]]" = []
                 seen: "set[tuple[int, object]]" = set()
-                for i in pending:
+                rows = (np.flatnonzero(dirty[start:]) + start).tolist()
+                dirty[start:] = False
+                for i in rows:
                     nr = nearest(i)
                     if nr is None:
                         break
@@ -506,7 +599,7 @@ class RRT:
                         )
                 # -- strict in-order replay ------------------------------
                 done = 0
-                for i in pending:
+                for i in range(start, B):
                     if added >= n_nodes or goal_reached is not None:
                         alive = False
                         break
@@ -538,6 +631,7 @@ class RRT:
                     if verdict is None:
                         # An acceptance moved this sample's nearest node;
                         # pause and re-predict from the updated state.
+                        dirty[i] = True
                         stats.nn_queries -= 1
                         if live_nn is None:
                             nn_evals -= n0 + n_blk
@@ -576,6 +670,7 @@ class RRT:
                     # matrix's per-dimension accumulation).
                     blk_D[:, n_blk] = np.linalg.norm(samples - q_new, axis=1)
                     col = blk_D[:, n_blk]
+                    dirty |= col <= blk_min
                     better = col < blk_min
                     blk_tie |= col == blk_min
                     blk_tie[better] = False
@@ -589,8 +684,10 @@ class RRT:
                         and float(cspace.distance(q_new, goal_cfg)) <= goal_tolerance
                     ):
                         goal_reached = vid
-                pending = pending[done:]
+                start += done
 
+        if cursor is not None:
+            cursor.sync()
         if counters is not None and spec_points:
             # Exact rescale of the speculative charge to the replayed one:
             # every evaluated point charges the same constant, so integer

@@ -113,6 +113,114 @@ class TestRays:
             box_env.ray_free_distance(np.zeros(2), np.zeros(2), 1.0)
 
 
+def _ray_box_enter_oracle(origin, u, lo, hi):
+    """Scalar per-box slab test: parameter t >= 0 where the ray first
+    enters [lo, hi], None if it misses."""
+    t0, t1 = -np.inf, np.inf
+    for i in range(origin.shape[0]):
+        if u[i] == 0.0:
+            if origin[i] < lo[i] or origin[i] > hi[i]:
+                return None
+        else:
+            ta = (lo[i] - origin[i]) / u[i]
+            tb = (hi[i] - origin[i]) / u[i]
+            if ta > tb:
+                ta, tb = tb, ta
+            t0 = max(t0, ta)
+            t1 = min(t1, tb)
+            if t0 > t1:
+                return None
+    if t1 < 0.0:
+        return None
+    return max(t0, 0.0)
+
+
+def _ray_free_distance_oracle(env, origin, direction, max_dist):
+    """The scalar box-by-box ray probe the vectorised one must equal."""
+    origin = np.asarray(origin, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    u = direction / np.linalg.norm(direction)
+    t1 = np.inf
+    for i in range(origin.shape[0]):
+        if u[i] > 0.0:
+            t1 = min(t1, (env.bounds.hi[i] - origin[i]) / u[i])
+        elif u[i] < 0.0:
+            t1 = min(t1, (env.bounds.lo[i] - origin[i]) / u[i])
+    best = min(max_dist, max(t1, 0.0))
+    for lo, hi in zip(env._obs_lo, env._obs_hi):
+        t_enter = _ray_box_enter_oracle(origin, u, lo, hi)
+        if t_enter is not None and 0.0 <= t_enter < best:
+            best = t_enter
+    return max(best, 0.0)
+
+
+class TestRayProbeOracle:
+    """``ray_free_distance`` equals the scalar per-box loop exactly."""
+
+    def _check(self, env, origin, direction, max_dist):
+        before = env.counters.segment_checks
+        got = env.ray_free_distance(origin, direction, max_dist)
+        assert env.counters.segment_checks - before == max(1, env.num_obstacles)
+        want = _ray_free_distance_oracle(env, origin, direction, max_dist)
+        assert got == want, (origin, direction, max_dist, got, want)
+        return got
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_rays_mixed30(self, seed):
+        env = envs.mixed_30_env()
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            origin = rng.uniform(env.bounds.lo, env.bounds.hi)
+            direction = rng.normal(size=3)
+            self._check(env, origin, direction, float(rng.uniform(0.5, 30.0)))
+
+    def test_axis_parallel_rays(self):
+        env = envs.mixed_30_env()
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            origin = rng.uniform(env.bounds.lo, env.bounds.hi)
+            direction = np.zeros(3)
+            direction[rng.integers(3)] = rng.choice([-1.0, 1.0])
+            if rng.random() < 0.5:  # two moving axes, one fixed
+                direction[rng.integers(3)] = rng.normal()
+            if not direction.any():
+                continue
+            self._check(env, origin, direction, 25.0)
+
+    def test_origins_on_faces_edges_corners(self):
+        env = Environment(
+            AABB([-5.0, -5.0, -5.0], [5.0, 5.0, 5.0]),
+            [AABB([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]), AABB([2.0, 2.0, 2.0], [4.0, 4.0, 4.0])],
+        )
+        rng = np.random.default_rng(9)
+        points = [
+            [1.0, 0.0, 0.0], [-1.0, 0.5, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0],
+            [2.0, 3.0, 3.0], [4.0, 4.0, 4.0], [5.0, 0.0, 0.0], [-5.0, -5.0, -5.0],
+        ]
+        for p in points:
+            for direction in np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(12, 3))]):
+                self._check(env, np.array(p), direction, 20.0)
+
+    def test_boxes_behind_origin_and_max_dist_cutoffs(self):
+        env = Environment(
+            AABB([-10.0, -10.0], [10.0, 10.0]),
+            [AABB([-6.0, -1.0], [-4.0, 1.0]), AABB([3.0, -1.0], [4.0, 1.0])],
+        )
+        origin = np.zeros(2)
+        # Box behind: the ray toward +x only sees the box at x = 3.
+        assert self._check(env, origin, np.array([1.0, 0.0]), 100.0) == 3.0
+        # Cut-offs below, at and beyond the hit distance.
+        for max_dist in (0.0, 1.0, 2.999, 3.0, 3.5, 100.0):
+            self._check(env, origin, np.array([1.0, 0.0]), max_dist)
+            self._check(env, origin, np.array([-1.0, 0.0]), max_dist)
+        # Negative cut-off clamps to zero.
+        assert self._check(env, origin, np.array([1.0, 1.0]), -1.0) == 0.0
+
+    def test_obstacle_free_environment(self):
+        env = Environment(AABB([-2.0, -2.0], [2.0, 2.0]), [])
+        assert self._check(env, np.zeros(2), np.array([1.0, 0.0]), 10.0) == 2.0
+
+
 class TestBoxObstacleRelation:
     def test_free(self, box_env):
         assert box_env.box_obstacle_relation(AABB([-4, -4], [-3, -3])) == "free"

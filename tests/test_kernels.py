@@ -33,6 +33,7 @@ from repro.kernels import (
     register,
 )
 from repro.kernels.base import KernelBackend
+from repro.kernels.reference import _PER_AXIS_MIN_CELLS, points_hit_boxes
 from repro.knn.brute import BruteForceNN
 
 try:
@@ -379,3 +380,50 @@ def test_cspace_kernel_dispatch_and_counters_unchanged():
     v_f32 = cs_f32.valid(pts)
     np.testing.assert_array_equal(v_ref, v_f32)
     assert env_ref.counters.point_checks == env_f32.counters.point_checks
+
+
+def _points_hit_boxes_broadcast(box_lo, box_hi, pts):
+    """The ``(n, m, d)`` broadcast containment oracle."""
+    return np.all(
+        (pts[:, None, :] >= box_lo[None, :, :]) & (pts[:, None, :] <= box_hi[None, :, :]),
+        axis=2,
+    ).any(axis=1)
+
+
+def _boundary_points(box_lo, box_hi):
+    """``(on, off)``: corners, edge midpoints and face centres of every
+    box (the bounds are inclusive), and the same points nudged one ulp
+    outward."""
+    on = []
+    for lo, hi in zip(box_lo, box_hi):
+        choices = np.stack([lo, 0.5 * (lo + hi), hi])  # (3, d)
+        grid = np.stack(np.meshgrid(*choices.T, indexing="ij"), axis=-1).reshape(-1, lo.size)
+        on.append(grid[np.any((grid == lo) | (grid == hi), axis=1)])
+    lo = np.vstack([np.broadcast_to(l, p.shape) for l, p in zip(box_lo, on)])
+    hi = np.vstack([np.broadcast_to(h, p.shape) for h, p in zip(box_hi, on)])
+    on = np.vstack(on)
+    off = np.where(on == lo, np.nextafter(on, -np.inf), on)
+    off = np.where(on == hi, np.nextafter(on, np.inf), off)
+    return on, off
+
+
+@pytest.mark.parametrize(
+    "n_boxes, n_random",
+    [(1, 4), (1, 600), (3, 16), (3, 200), (30, 0), (30, 64), (125, 0), (125, 300)],
+)
+def test_points_hit_boxes_both_forms_match_broadcast(n_boxes, n_random):
+    rng = np.random.default_rng(n_boxes * 1000 + n_random)
+    lo = rng.integers(-8, 6, (n_boxes, 3)).astype(float)
+    hi = lo + rng.integers(0, 4, (n_boxes, 3))  # zero-width slabs included
+    on, off = _boundary_points(lo, hi)
+    for pts in (rng.uniform(-10, 10, (n_random, 3)), on[:4], off[:4], on, off):
+        got = points_hit_boxes(lo, hi, pts)
+        np.testing.assert_array_equal(got, _points_hit_boxes_broadcast(lo, hi, pts))
+    assert points_hit_boxes(lo, hi, on).all()
+    if n_boxes == 1:
+        assert not points_hit_boxes(lo, hi, off).any()
+
+
+def test_points_hit_boxes_parametrisation_spans_the_crossover():
+    cells = [m * n for m, n in [(1, 4), (3, 16), (30, 64), (125, 300)]]
+    assert min(cells) < _PER_AXIS_MIN_CELLS <= max(cells)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cspace import BinaryLocalPlanner, StraightLinePlanner
+from repro.cspace import BinaryLocalPlanner, EuclideanCSpace, StraightLinePlanner
+from repro.cspace.rigid_body import RigidBodyCSpace, box_body_points
+from repro.geometry.environments import mixed_30_env
 
 
 class TestStraightLinePlanner:
@@ -52,6 +54,55 @@ class TestStraightLinePlanner:
         ends = np.array([[-3.9, -4.0]])
         ok, checks, lengths = lp.batch_pairs(box_cspace, starts, ends)
         assert ok.all() and checks == 0
+
+
+def _assert_exact_twin(lp, cspace, starts, ends):
+    """``batch_pairs_exact`` equals looping the scalar planner, bit for bit."""
+    ok, checks, lengths = lp.batch_pairs_exact(cspace, starts, ends)
+    for i, (a, b) in enumerate(zip(starts, ends)):
+        res = lp(cspace, a, b)
+        assert lengths[i] == float(cspace.distance(a, b)) == res.length
+        assert checks[i] == res.checks
+        assert ok[i] == res.valid
+    return lengths
+
+
+class TestBatchPairsExact:
+    def test_lengths_equal_scalar_distance_on_random_pairs(self):
+        cspace = EuclideanCSpace(mixed_30_env())
+        rng = np.random.default_rng(0)
+        starts = rng.uniform(-10, 10, (400, 3))
+        ends = starts + rng.normal(size=(400, 3)) * rng.uniform(0, 3, (400, 1))
+        _assert_exact_twin(StraightLinePlanner(resolution=0.25), cspace, starts, ends)
+
+    def test_rrt_extensions_on_the_step_boundary(self):
+        # RRT extensions are step_size long, so dist / resolution sits on
+        # an integer and the last ulp of the length decides the ceiling.
+        cspace = EuclideanCSpace(mixed_30_env())
+        rng = np.random.default_rng(1)
+        near = rng.uniform(-10, 10, (2000, 3))
+        rand = rng.uniform(-10, 10, (2000, 3))
+        dist = np.array([cspace.distance(a, b) for a, b in zip(near, rand)])
+        new = cspace.interpolate_pairs(near, rand, np.minimum(0.5 / dist, 1.0))
+        lp = StraightLinePlanner(resolution=0.25)
+        lengths = _assert_exact_twin(lp, cspace, near, new)
+        # The cheaper row norm lands on the other side of the ceiling for
+        # some of these, so the check above is not vacuous.
+        norm = np.linalg.norm(new - near, axis=1)
+        assert np.any(np.ceil(norm / 0.25) != np.ceil(lengths / 0.25))
+
+    def test_rigid_body_space_keeps_scalar_metric(self, box_env):
+        cspace = RigidBodyCSpace(box_env, box_body_points(np.array([0.2, 0.1])), 0.5)
+        rng = np.random.default_rng(2)
+        starts = rng.uniform(cspace.bounds.lo, cspace.bounds.hi, (150, 3))
+        ends = rng.uniform(cspace.bounds.lo, cspace.bounds.hi, (150, 3))
+        _assert_exact_twin(StraightLinePlanner(resolution=0.25), cspace, starts, ends)
+
+    def test_empty_batch(self, box_cspace):
+        ok, checks, lengths = StraightLinePlanner(0.1).batch_pairs_exact(
+            box_cspace, np.empty((0, 2)), np.empty((0, 2))
+        )
+        assert ok.shape == checks.shape == lengths.shape == (0,)
 
 
 class TestBinaryLocalPlanner:

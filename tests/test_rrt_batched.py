@@ -12,12 +12,14 @@ from dataclasses import asdict
 
 from repro.core.parallel_rrt import build_rrt_workload, simulate_rrt
 from repro.cspace.local_planner import StraightLinePlanner
+from repro.cspace.rigid_body import RigidBodyCSpace, box_body_points
 from repro.cspace.space import EuclideanCSpace
 from repro.geometry.environment import Environment
 from repro.geometry.environments import med_cube, mixed_30_env
 from repro.geometry.primitives import AABB
+from repro.knn.incremental import IncrementalNN
 from repro.planners.roadmap import Roadmap
-from repro.planners.rrt import RRT
+from repro.planners.rrt import _BLOCK, RRT, _DrawCursor
 from repro.runtime.faults import Fault, FaultInjector
 from repro.subdivision.radial import ConeRegion, RadialSubdivision
 
@@ -160,6 +162,124 @@ class TestGrowParity:
             )
             outs.append(_observe(second, cspace.env))
         _assert_same(*outs)
+
+
+class _OwnSamplerCSpace(EuclideanCSpace):
+    """Overrides ``sample`` (same draws), so the batched path must replay
+    the oracle's sampling calls one by one instead of by cursor."""
+
+    def sample(self, rng, n=None, within=None):
+        return super().sample(rng, n, within)
+
+
+class TestMultiBlockBiasedGrowth:
+    """Biased growth over many blocks: the cursor buffer carries across
+    block boundaries and the dirty-row re-predict runs every block."""
+
+    GOAL_IN_OBSTACLE = np.array([3.0, 3.0])  # never reached: no early exit
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize(
+        "grow_kwargs",
+        [
+            {"bias_target": np.array([4.0, 4.0])},
+            {"bias_target": np.array([4.0, -4.0]), "goal": GOAL_IN_OBSTACLE},
+            {"goal": GOAL_IN_OBSTACLE},
+        ],
+        ids=["bias", "bias+goal", "goal"],
+    )
+    def test_parity_over_many_blocks(self, seed, grow_kwargs):
+        seq, bat = _grow_both(seed, n_nodes=600, goal_bias=0.3, grow_kwargs=grow_kwargs)
+        _assert_same(seq, bat)
+        stats = seq[0]
+        assert stats["samples_accepted"] == 600
+        assert stats["nn_queries"] >= 4 * _BLOCK
+
+    def test_live_finder_over_many_blocks(self):
+        seq, bat = _grow_both(
+            3, n_nodes=600, goal_bias=0.3,
+            grow_kwargs={"bias_target": np.array([4.0, -4.0]), "goal": self.GOAL_IN_OBSTACLE},
+            rrt_kwargs={"nn_factory": IncrementalNN},
+        )
+        _assert_same(seq, bat)
+        assert seq[0]["nn_queries"] >= 4 * _BLOCK
+
+    def test_goal_reached_late(self):
+        # The goal sits behind an obstacle as seen from the root, so it is
+        # reached several blocks into the run, mid-block.
+        seq, bat = _grow_both(
+            0, n_nodes=1000, goal_bias=0.3,
+            grow_kwargs={"goal": np.array([4.5, 3.0]), "goal_tolerance": 0.3},
+        )
+        _assert_same(seq, bat)
+        assert seq[0]["nn_queries"] > 3 * _BLOCK
+        assert seq[0]["nn_queries"] % _BLOCK
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generator_left_where_the_oracle_leaves_it(self, seed):
+        # No early exit (the iteration cap binds, and is not a multiple
+        # of the block size): both paths consume exactly the same draws.
+        after = []
+        for batched in (False, True):
+            rrt = RRT(_fresh_cspace(), step_size=0.5, goal_bias=0.3, batched=batched)
+            rng = np.random.default_rng(seed)
+            rrt.grow(np.array([-4.0, -4.0]), 10_000, rng, bias_target=np.array([4.0, 4.0]),
+                     goal=self.GOAL_IN_OBSTACLE, max_iterations=3 * _BLOCK + 44)
+            after.append(rng.random(4).tolist())
+        assert after[0] == after[1]
+
+    def test_rigid_body_space(self):
+        outs = []
+        for batched in (False, True):
+            env = _fresh_cspace().env
+            cspace = RigidBodyCSpace(env, box_body_points(np.array([0.2, 0.1])), 0.5)
+            rrt = RRT(cspace, step_size=0.5, goal_bias=0.3, batched=batched)
+            result = rrt.grow(np.array([-4.0, -4.0, 0.0]), 300, np.random.default_rng(8),
+                              bias_target=np.array([4.0, 4.0, 1.0]))
+            outs.append(_observe(result, env))
+        _assert_same(*outs)
+        assert outs[0][0]["nn_queries"] >= 2 * _BLOCK
+
+    def test_overridden_sampler_replays_calls(self):
+        outs = []
+        for batched in (False, True):
+            env = _fresh_cspace().env
+            rrt = RRT(_OwnSamplerCSpace(env), step_size=0.5, goal_bias=0.3, batched=batched)
+            result = rrt.grow(np.array([-4.0, -4.0]), 300, np.random.default_rng(6),
+                              bias_target=np.array([4.0, 4.0]), goal=self.GOAL_IN_OBSTACLE)
+            outs.append(_observe(result, env))
+        _assert_same(*outs)
+
+
+class TestDrawCursor:
+    @pytest.mark.parametrize("gates", [0, 1, 2])
+    def test_matches_scalar_calls(self, gates):
+        lo = np.array([-3.0, -2.5, 0.1])
+        hi = np.array([7.0, 2.5, 9.3])
+        for seed in range(50):
+            scalar = np.random.default_rng(seed)
+            want_kind, want_uniform = [], []
+            for _ in range(500):
+                for g in range(gates):
+                    if scalar.random() < 0.3:
+                        want_kind.append(g)
+                        break
+                else:
+                    want_kind.append(-1)
+                    want_uniform.append(scalar.uniform(lo, hi))
+            rng = np.random.default_rng(seed)
+            cursor = _DrawCursor(rng, lo, hi)
+            kind, uniform = [], []
+            for B in (128, 128, 200, 44):  # refills carry the buffer over
+                k, u = cursor.block(B, gates, 0.3)
+                kind += k
+                uniform.append(u)
+            assert kind == want_kind
+            np.testing.assert_array_equal(
+                np.vstack(uniform), np.reshape(want_uniform, (-1, 3))
+            )
+            cursor.sync()
+            assert rng.random(3).tolist() == scalar.random(3).tolist()
 
 
 class TestEdgeCases:

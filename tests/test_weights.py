@@ -10,6 +10,7 @@ from repro.core import (
     uniform_weights,
 )
 from repro.geometry import AABB, Environment, model_2d
+from repro.geometry.environments import mixed_30_env
 from repro.subdivision import RadialSubdivision, UniformSubdivision
 
 
@@ -76,3 +77,26 @@ class TestKRaysWeights:
         radial = RadialSubdivision(np.zeros(2), 0.5, 4, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             rrt_k_rays_weights(radial, env, k_rays=0)
+
+    def test_mixed30_weights_pinned(self):
+        # Exact weights and ray charge of the scalar per-box probe on
+        # mixed-30 (125 boxes), pinned so the vectorised probe is held to
+        # float equality on every region.
+        env = mixed_30_env()
+        root = np.array([float.fromhex(h) for h in (
+            "0x1.d4f6ab455cb80p-3", "-0x1.e178cda5c96f4p-1", "-0x1.9239b664a575cp-1",
+        )])
+        radial = RadialSubdivision(root, 6.0, 16, rng=np.random.default_rng(7))
+        w, casts = rrt_k_rays_weights(radial, env, k_rays=8, rng=np.random.default_rng(11))
+        assert casts == 128
+        assert env.counters.segment_checks == 128 * 125
+        assert {rid: v.hex() for rid, v in w.items()} == {
+            0: "0x1.dc3a35e179bd1p-4", 1: "0x1.2e08128e4ff10p-3",
+            2: "0x1.88bcf1c2fd35bp-3", 3: "0x1.5ca515973892cp+1",
+            4: "0x1.25c1647e53580p-1", 5: "0x1.42359b6594efep-2",
+            6: "0x1.9d18067f4beccp-3", 7: "0x1.071af424cc287p-1",
+            8: "0x1.362ca8931949dp-1", 9: "0x1.ac55d22a508eep+0",
+            10: "0x1.ff07533804b46p+1", 11: "0x1.a59e39f163539p+1",
+            12: "0x1.3f039205bfc89p+1", 13: "0x1.0d8ba02efcd0bp+2",
+            14: "0x1.88468388baa41p+1", 15: "0x1.7a0f60337d470p+1",
+        }
