@@ -12,24 +12,29 @@ buffers, never Python node objects.
 
 Design points:
 
-* **Median split.**  Nodes split their primitive range at the median
-  centroid along the widest centroid axis.  The split is by *count*, not
-  position, so fully-overlapping primitive sets (every centroid
-  identical) still produce a balanced, ``O(log n)``-depth tree instead of
-  degenerating.
-* **Batched node-stack traversal.**  Queries are answered for a whole
-  batch at once: an explicit stack of ``(node, active-query-indices)``
-  pairs is processed with one vectorised AABB test per node, shrinking
-  the active set on the way down and early-outing queries already known
-  to hit.  This keeps the per-node Python overhead amortised over many
-  queries — the same trick the batched planners use.
-* **Conservative culling, exact leaves.**  Node boxes are inflated by a
-  relative margin (~1e-9) at build time so float64 rounding in the
-  traversal tests can never cull a primitive the exact leaf test would
-  report as hit.  Leaf tests are supplied by the caller (the ``bvh``
-  backend passes the *reference kernels'* own expressions), so verdicts
-  are bit-identical to the brute-force scan — the BVH culls, it never
-  approximates.
+* **Median split, built level by level.**  Nodes split their primitive
+  range at the median centroid along the widest centroid axis.  The
+  split is by *count*, not position, so fully-overlapping primitive sets
+  (every centroid identical) still produce a balanced, ``O(log n)``-depth
+  tree instead of degenerating.  The build handles a whole tree level per
+  iteration (segment ``reduceat`` for boxes and centroid spread, one
+  stable ``lexsort`` for the splits) and numbers nodes breadth-first, so
+  the children of a node are always ``left`` and ``left + 1``.
+* **Level-synchronous traversal.**  Queries are answered for a whole
+  batch at once.  The frontier is a pair of parallel
+  ``(query, node)`` index arrays; each iteration tests every pair
+  against its node box in one vectorised step, expands the leaf pairs
+  into ``(query, primitive)`` candidate pairs decided by one call of the
+  caller's pair test, and pushes both children of the internal pairs
+  whose query is not yet hit.  One iteration per tree depth keeps the
+  Python overhead at ``O(depth)`` per batch, not ``O(nodes visited)``.
+* **Conservative culling, exact decisions.**  Node boxes are inflated by
+  a relative margin (~1e-9) at build time so float64 rounding in the
+  traversal tests can never cull a primitive the exact pair test would
+  report as hit.  The pair test is supplied by the caller (the ``bvh``
+  backend passes the reference kernels' pair tests, which evaluate the
+  reference arithmetic row by row), so verdicts are bit-identical to the
+  brute-force scan — the BVH culls, it never approximates.
 """
 
 from __future__ import annotations
@@ -38,17 +43,23 @@ import numpy as np
 
 __all__ = ["BVH", "DEFAULT_LEAF_SIZE"]
 
-#: Primitives per leaf.  Small enough that leaf brute-force stays cheap,
-#: large enough that the tree (and the Python traversal stack) stays
+#: Primitives per leaf.  Small enough that the candidate pairs stay few,
+#: large enough that the tree (and the per-depth traversal loop) stays
 #: shallow: ~2n/8 nodes at 100k primitives.
 DEFAULT_LEAF_SIZE = 8
 
 #: Relative inflation applied to every node box at build time.  Traversal
 #: tests run in float64 whose rounding is ~1e-16 relative; a 1e-9 margin
 #: dwarfs it by seven orders of magnitude while being geometrically
-#: invisible, so culling is strictly conservative w.r.t. the exact leaf
+#: invisible, so culling is strictly conservative w.r.t. the exact pair
 #: tests (see the grazing-segment cases in ``tests/test_bvh.py``).
 _NODE_MARGIN = 1e-9
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + c)`` for every ``(s, c)`` pair."""
+    end = np.cumsum(count)
+    return np.arange(int(end[-1])) + np.repeat(start - (end - count), count)
 
 
 class BVH:
@@ -71,7 +82,7 @@ class BVH:
     node_left:
         ``(num_nodes,)`` int64 — index of the left child for internal
         nodes (the right child is always ``left + 1``), ``-1`` for
-        leaves.
+        leaves.  Nodes are numbered breadth-first from the root ``0``.
     node_start, node_count:
         ``(num_nodes,)`` int64 — leaf range into ``prim_index``
         (``count == 0`` for internal nodes).
@@ -99,59 +110,67 @@ class BVH:
             self.node_start = np.empty(0, dtype=np.int64)
             self.node_count = np.empty(0, dtype=np.int64)
             self.prim_index = np.empty(0, dtype=np.int64)
+            self._node_box = np.empty((0, 2 * d))
             return
 
+        # One iteration per tree level.  A level is a sorted list of
+        # disjoint ranges [a, a + size) of ``order``; its primitives are
+        # gathered into one block whose segments start at ``offset``.
         order = np.arange(n, dtype=np.int64)
         centers = 0.5 * (prim_lo + prim_hi)
-
-        node_lo: "list[np.ndarray]" = []
-        node_hi: "list[np.ndarray]" = []
-        node_left: "list[int]" = []
-        node_start: "list[int]" = []
-        node_count: "list[int]" = []
-
-        def new_node() -> int:
-            node_lo.append(np.empty(d))
-            node_hi.append(np.empty(d))
-            node_left.append(-1)
-            node_start.append(0)
-            node_count.append(0)
-            return len(node_left) - 1
-
-        stack: "list[tuple[int, int, int]]" = [(new_node(), 0, n)]
-        while stack:
-            ni, a, b = stack.pop()
-            ids = order[a:b]
-            lo = prim_lo[ids].min(axis=0)
-            hi = prim_hi[ids].max(axis=0)
+        lo_parts, hi_parts, left_parts, start_parts, count_parts = [], [], [], [], []
+        a = np.zeros(1, dtype=np.int64)
+        size = np.full(1, n, dtype=np.int64)
+        first = 0  # id of the level's first node
+        while True:
+            offset = np.cumsum(size) - size
+            pos = _ranges(a, size)
+            ids = order[pos]
+            lo = np.minimum.reduceat(prim_lo[ids], offset, axis=0)
+            hi = np.maximum.reduceat(prim_hi[ids], offset, axis=0)
             # Inflate so traversal rounding can never out-cull the exact
-            # leaf tests (conservative culling only costs a false visit).
-            pad_lo = _NODE_MARGIN * (np.abs(lo) + 1.0)
-            pad_hi = _NODE_MARGIN * (np.abs(hi) + 1.0)
-            node_lo[ni] = lo - pad_lo
-            node_hi[ni] = hi + pad_hi
-            if b - a <= leaf_size:
-                node_start[ni] = a
-                node_count[ni] = b - a
-                continue
-            spread = centers[ids].max(axis=0) - centers[ids].min(axis=0)
-            axis = int(np.argmax(spread))
-            mid = (a + b) // 2
-            part = np.argpartition(centers[ids, axis], mid - a)
-            order[a:b] = ids[part]
-            li = new_node()
-            ri = new_node()
-            assert ri == li + 1  # children are allocated contiguously
-            node_left[ni] = li
-            stack.append((li, a, mid))
-            stack.append((ri, mid, b))
+            # pair tests (conservative culling only costs a false visit).
+            lo_parts.append(lo - _NODE_MARGIN * (np.abs(lo) + 1.0))
+            hi_parts.append(hi + _NODE_MARGIN * (np.abs(hi) + 1.0))
+            split = size > self.leaf_size
+            num_split = int(split.sum())
+            left = np.full(a.size, -1, dtype=np.int64)
+            left[split] = first + a.size + 2 * np.arange(num_split)
+            left_parts.append(left)
+            start_parts.append(np.where(split, 0, a))
+            count_parts.append(np.where(split, 0, size))
+            first += a.size
+            if num_split == 0:
+                break
 
-        self.node_lo = np.ascontiguousarray(np.stack(node_lo))
-        self.node_hi = np.ascontiguousarray(np.stack(node_hi))
-        self.node_left = np.asarray(node_left, dtype=np.int64)
-        self.node_start = np.asarray(node_start, dtype=np.int64)
-        self.node_count = np.asarray(node_count, dtype=np.int64)
+            # Sort each split range by its widest centroid axis; ties keep
+            # their current order (lexsort is stable).
+            in_split = np.repeat(split, size)
+            pos, ids = pos[in_split], ids[in_split]
+            a, size = a[split], size[split]
+            offset = np.cumsum(size) - size
+            c = centers[ids]
+            spread = np.maximum.reduceat(c, offset, axis=0) - np.minimum.reduceat(c, offset, axis=0)
+            seg = np.repeat(np.arange(num_split), size)
+            key = c[np.arange(ids.size), np.argmax(spread, axis=1)[seg]]
+            order[pos] = ids[np.lexsort((key, seg))]
+
+            # Children interleaved (left, right) per parent: breadth-first ids.
+            half = size // 2
+            a = np.stack([a, a + half], axis=1).ravel()
+            size = np.stack([half, size - half], axis=1).ravel()
+
+        self.node_lo = np.ascontiguousarray(np.concatenate(lo_parts))
+        self.node_hi = np.ascontiguousarray(np.concatenate(hi_parts))
+        self.node_left = np.concatenate(left_parts)
+        self.node_start = np.concatenate(start_parts)
+        self.node_count = np.concatenate(count_parts)
         self.prim_index = order
+        # [node_lo | -node_hi]: with queries laid out the same way
+        # ([x | -x]) one ``>=`` covers both bounds of the node test and one
+        # subtract-multiply gives both slab parameters.  Negation is exact,
+        # so these are the same tests on the same inflated boxes.
+        self._node_box = np.hstack([self.node_lo, -self.node_hi])
 
     @property
     def num_nodes(self) -> int:
@@ -162,57 +181,64 @@ class BVH:
         """Total bytes held by the packed node and index arrays."""
         return sum(
             getattr(self, a).nbytes
-            for a in ("node_lo", "node_hi", "node_left", "node_start", "node_count", "prim_index")
+            for a in (
+                "node_lo", "node_hi", "_node_box", "node_left", "node_start", "node_count",
+                "prim_index",
+            )
         )
 
-    # -- batched traversal -------------------------------------------------
-    def points_hit(self, pts: np.ndarray, leaf_test) -> np.ndarray:
-        """``(n,)`` bool: point ``i`` hits some primitive per ``leaf_test``.
+    # -- level-synchronous traversal ---------------------------------------
+    def _descend(self, qi: np.ndarray, ni: np.ndarray, hit: np.ndarray, pair_test):
+        """Decide the leaf pairs of a culled frontier; return the next one.
 
-        ``leaf_test(sub_pts, prim_ids) -> (len(sub_pts),) bool`` decides
-        hits exactly for the candidate primitives a leaf holds; the tree
-        only narrows which primitives each point can possibly touch.
+        ``(qi, ni)`` are the ``(query, node)`` pairs whose node box passed
+        the node test.  Leaf pairs expand into ``(query, primitive)``
+        candidates, all decided by one ``pair_test`` call; internal pairs
+        whose query is not yet hit push both children.
+        """
+        left = self.node_left[ni]
+        leaf = left < 0
+        if leaf.any():
+            ln = ni[leaf]
+            count = self.node_count[ln]
+            cq = np.repeat(qi[leaf], count)
+            cp = self.prim_index[_ranges(self.node_start[ln], count)]
+            hit[cq[pair_test(cq, cp)]] = True
+            keep = ~leaf & ~hit[qi]  # already-hit queries drop out
+            qi, left = qi[keep], left[keep]
+        return np.concatenate([qi, qi]), np.concatenate([left, left + 1])
+
+    def points_hit(self, pts: np.ndarray, pair_test) -> np.ndarray:
+        """``(n,)`` bool: point ``i`` hits some primitive per ``pair_test``.
+
+        ``pair_test(query_idx, prim_idx) -> (k,) bool`` decides exactly
+        whether point ``query_idx[j]`` hits primitive ``prim_idx[j]``; the
+        tree only narrows which pairs are worth asking about.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         n = pts.shape[0]
         hit = np.zeros(n, dtype=bool)
         if self.num_prims == 0 or n == 0:
             return hit
-        stack: "list[tuple[int, np.ndarray]]" = [(0, np.arange(n, dtype=np.intp))]
-        while stack:
-            node, active = stack.pop()
-            active = active[~hit[active]]  # early-out: already-hit queries drop out
-            if active.size == 0:
-                continue
-            sub = pts[active]
-            inside = np.all(
-                (sub >= self.node_lo[node]) & (sub <= self.node_hi[node]), axis=1
-            )
-            active = active[inside]
-            if active.size == 0:
-                continue
-            left = int(self.node_left[node])
-            if left < 0:
-                s = int(self.node_start[node])
-                c = int(self.node_count[node])
-                prims = self.prim_index[s : s + c]
-                leaf_hit = leaf_test(pts[active], prims)
-                hit[active[leaf_hit]] = True
-            else:
-                stack.append((left, active))
-                stack.append((left + 1, active))
+        box = self._node_box
+        ext = np.hstack([pts, -pts])  # x >= lo and -x >= -hi in one compare
+        qi = np.arange(n, dtype=np.intp)
+        ni = np.zeros(n, dtype=np.intp)
+        while qi.size:
+            inside = (ext[qi] >= box[ni]).all(axis=1)
+            qi, ni = self._descend(qi[inside], ni[inside], hit, pair_test)
         return hit
 
-    def segments_hit(self, p: np.ndarray, q: np.ndarray, leaf_test) -> np.ndarray:
+    def segments_hit(self, p: np.ndarray, q: np.ndarray, pair_test) -> np.ndarray:
         """``(n,)`` bool: segment ``p[i] -> q[i]`` hits some primitive.
 
         Node culling is a conservative slab test (inflated node boxes,
         parallel axes handled exactly like the reference kernel);
-        ``leaf_test(sub_p, sub_q, prim_ids)`` decides exactly at leaves.
+        ``pair_test(query_idx, prim_idx)`` decides the candidate pairs.
         """
         p = np.atleast_2d(np.asarray(p, dtype=np.float64))
         q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-        n = p.shape[0]
+        n, dim = p.shape
         hit = np.zeros(n, dtype=bool)
         if self.num_prims == 0 or n == 0:
             return hit
@@ -221,43 +247,31 @@ class BVH:
             inv = np.where(d != 0.0, 1.0 / d, np.inf)
         par = d == 0.0
         any_par = bool(par.any())
-        stack: "list[tuple[int, np.ndarray]]" = [(0, np.arange(n, dtype=np.intp))]
-        while stack:
-            node, active = stack.pop()
-            active = active[~hit[active]]
-            if active.size == 0:
-                continue
-            lo = self.node_lo[node]
-            hi = self.node_hi[node]
-            sp = p[active]
-            a = (lo - sp) * inv[active]
-            b = (hi - sp) * inv[active]
-            t_near = np.minimum(a, b)
-            t_far = np.maximum(a, b)
+        box = self._node_box
+        # (-hi - -p) * -inv == (hi - p) * inv: one product gives both slabs.
+        ext_p = np.hstack([p, -p])
+        ext_inv = np.hstack([inv, -inv])
+        qi = np.arange(n, dtype=np.intp)
+        ni = np.zeros(n, dtype=np.intp)
+        while qi.size:
+            nb = box[ni]
+            sp = ext_p[qi]
+            # 0 * inf on parallel axes gives NaN lanes; the np.where(pm, ...)
+            # below always overwrites them.
+            with np.errstate(invalid="ignore"):
+                t = (nb - sp) * ext_inv[qi]
+            t_near = np.minimum(t[:, :dim], t[:, dim:])
+            t_far = np.maximum(t[:, :dim], t[:, dim:])
             if any_par:
-                pm = par[active]
-                inside = (sp >= lo) & (sp <= hi)
-                miss = (pm & ~inside).any(axis=1)
+                pm = par[qi]
+                inside = sp >= nb
+                miss = (pm & ~(inside[:, :dim] & inside[:, dim:])).any(axis=1)
                 t_near = np.where(pm, -np.inf, t_near)
                 t_far = np.where(pm, np.inf, t_far)
-            else:
-                miss = np.zeros(active.size, dtype=bool)
-            t0 = np.maximum(t_near.max(axis=1), 0.0)
-            t1 = np.minimum(t_far.min(axis=1), 1.0)
-            overlap = (t0 <= t1) & ~miss
-            active = active[overlap]
-            if active.size == 0:
-                continue
-            left = int(self.node_left[node])
-            if left < 0:
-                s = int(self.node_start[node])
-                c = int(self.node_count[node])
-                prims = self.prim_index[s : s + c]
-                leaf_hit = leaf_test(p[active], q[active], prims)
-                hit[active[leaf_hit]] = True
-            else:
-                stack.append((left, active))
-                stack.append((left + 1, active))
+            overlap = np.maximum(t_near.max(axis=1), 0.0) <= np.minimum(t_far.min(axis=1), 1.0)
+            if any_par:
+                overlap &= ~miss
+            qi, ni = self._descend(qi[overlap], ni[overlap], hit, pair_test)
         return hit
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -14,8 +14,8 @@ registry:
   equivalent, ~2x on medium scenes (see BENCH_perf.json).
 * ``bvh`` — BVH-culled collision kernels for obstacle-heavy scenes
   (10³–10⁵ primitives, see ``repro.geometry.scenarios``); *bit-exact*
-  with the reference (the tree culls, leaf tests are the reference
-  expressions), distance primitives delegate to ``reference``.
+  with the reference (the tree culls, the reference pair tests decide
+  every candidate), distance primitives delegate to ``reference``.
 * ``numba`` — compiled scalar loops with early exit; registered only when
   numba imports, silently absent otherwise.
 

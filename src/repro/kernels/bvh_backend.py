@@ -4,16 +4,20 @@ The scaling backend for obstacle-heavy scenes (10³–10⁵ primitives, see
 ``repro.geometry.scenarios``): ``points_free`` / ``segments_free`` walk a
 packed-array AABB tree (:class:`repro.geometry.bvh.BVH`) instead of
 scanning every obstacle, turning the per-query cost from ``O(m)`` to
-``O(log m)`` node visits plus a handful of candidate primitives.
+``O(log m)`` node visits plus a handful of candidate primitives.  The
+walk is level-synchronous: one vectorised step per tree depth for the
+whole batch, whose leaf visits yield ``(query, primitive)`` candidate
+pairs.
 
 **The equivalence contract is bit-exact, not statistical.**  The tree
 only *culls*: node tests are conservative (inflated float64 boxes), and
-every surviving candidate is decided by the reference backend's own
-array-level expressions (:func:`repro.kernels.reference.points_hit_boxes`
-and friends) applied to the gathered primitive subset.  Elementwise
-NumPy expressions over a subset produce the same bits as over the full
-array, so a verdict can never differ from ``reference`` — which is why
-the differential battery in ``tests/test_bvh.py`` and the
+every candidate pair is decided by the reference backend's pair tests
+(:func:`repro.kernels.reference.point_box_pairs_hit` and friends), which
+evaluate the reference arithmetic of ``points_hit_boxes`` and friends
+row by row on the gathered ``(query, primitive)`` rows.  Elementwise
+NumPy expressions give each pair the bits the brute-force broadcast
+gives its cell, so a verdict can never differ from ``reference`` — which
+is why the differential battery in ``tests/test_bvh.py`` and the
 ``bvh_collision_scaling`` bench row assert exact equality where the
 fast32 gates settle for stability-guarded agreement.
 
@@ -35,10 +39,10 @@ from .base import KernelBackend
 from .data import EnvKernelData
 from .reference import (
     ReferenceKernels,
-    points_hit_boxes,
-    points_hit_spheres,
-    segments_hit_boxes,
-    segments_hit_spheres,
+    point_box_pairs_hit,
+    point_sphere_pairs_hit,
+    segment_box_pairs_hit,
+    segment_sphere_pairs_hit,
 )
 
 __all__ = ["BVHKernels"]
@@ -93,14 +97,14 @@ class BVHKernels(KernelBackend):
         if data.num_boxes:
             hit = _box_tree(data).points_hit(
                 pts,
-                lambda sub, prims: points_hit_boxes(data.box_lo[prims], data.box_hi[prims], sub),
+                lambda qi, pi: point_box_pairs_hit(data.box_lo[pi], data.box_hi[pi], pts[qi]),
             )
             free = free & ~hit
         if data.num_spheres:
             hit = _sphere_tree(data).points_hit(
                 pts,
-                lambda sub, prims: points_hit_spheres(
-                    data.sph_center[prims], data.sph_radius[prims], sub
+                lambda qi, pi: point_sphere_pairs_hit(
+                    data.sph_center[pi], data.sph_radius[pi], pts[qi]
                 ),
             )
             free = free & ~hit
@@ -116,8 +120,8 @@ class BVHKernels(KernelBackend):
             hit = _box_tree(data).segments_hit(
                 p,
                 q,
-                lambda sp, sq, prims: segments_hit_boxes(
-                    data.box_lo[prims], data.box_hi[prims], sp, sq
+                lambda qi, pi: segment_box_pairs_hit(
+                    data.box_lo[pi], data.box_hi[pi], p[qi], q[qi]
                 ),
             )
             free = free & ~hit
@@ -125,8 +129,8 @@ class BVHKernels(KernelBackend):
             hit = _sphere_tree(data).segments_hit(
                 p,
                 q,
-                lambda sp, sq, prims: segments_hit_spheres(
-                    data.sph_center[prims], data.sph_radius[prims], sp, sq
+                lambda qi, pi: segment_sphere_pairs_hit(
+                    data.sph_center[pi], data.sph_radius[pi], p[qi], q[qi]
                 ),
             )
             free = free & ~hit

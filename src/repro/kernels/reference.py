@@ -10,9 +10,11 @@ tolerance changes; fast backends are instead held to the statistical
 gates described in :mod:`repro.kernels.base`.
 
 The per-primitive tests are exposed as array-level functions
-(``points_hit_boxes`` and friends) so the ``bvh`` backend can run the
-*identical* expressions over the primitive subsets its tree narrows each
-query to — that sharing is what makes the BVH backend bit-exact rather
+(``points_hit_boxes`` and friends), each with a *pair test*
+(``point_box_pairs_hit`` and friends) that evaluates the identical
+arithmetic row by row on gathered ``(query, primitive)`` rows.  The
+``bvh`` backend decides the candidate pairs its tree produces with the
+pair tests — that sharing is what makes the BVH backend bit-exact rather
 than merely statistically equivalent (see ``repro.kernels.bvh_backend``).
 """
 
@@ -27,8 +29,12 @@ from .select import select_canonical_rows
 __all__ = [
     "ReferenceKernels",
     "pairwise_accumulate_exact",
+    "point_box_pairs_hit",
+    "point_sphere_pairs_hit",
     "points_hit_boxes",
     "points_hit_spheres",
+    "segment_box_pairs_hit",
+    "segment_sphere_pairs_hit",
     "segments_hit_boxes",
     "segments_hit_spheres",
 ]
@@ -62,8 +68,8 @@ def pairwise_accumulate_exact(stored: np.ndarray, queries: np.ndarray, out: np.n
 
 #: ``n * m`` (points x boxes) from which :func:`points_hit_boxes` ANDs
 #: per-axis ``(n, m)`` comparisons instead of reducing the ``(n, m, d)``
-#: broadcast.  Measured crossover: below it (a single box, or the few
-#: boxes of a BVH leaf) the broadcast's fewer NumPy calls win; above it
+#: broadcast.  Measured crossover: below it (med-cube's single box, for
+#: instance) the broadcast's fewer NumPy calls win; above it
 #: the per-axis form is 2-7x faster (125 boxes, n = 8-512).
 _PER_AXIS_MIN_CELLS = 256
 
@@ -102,11 +108,13 @@ def segments_hit_boxes(
     """
     d = q - p  # (n, dim)
     m = obs_lo.shape[0]
+    # 0 * inf on parallel axes gives NaN lanes in t_lo/t_hi that the
+    # np.where(parallel, ...) below always overwrites.
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(d != 0.0, 1.0 / d, np.inf)  # (n, dim)
-    # (n, m, dim)
-    t_lo = (obs_lo[None, :, :] - p[:, None, :]) * inv[:, None, :]
-    t_hi = (obs_hi[None, :, :] - p[:, None, :]) * inv[:, None, :]
+        # (n, m, dim)
+        t_lo = (obs_lo[None, :, :] - p[:, None, :]) * inv[:, None, :]
+        t_hi = (obs_hi[None, :, :] - p[:, None, :]) * inv[:, None, :]
     t_near = np.minimum(t_lo, t_hi)
     t_far = np.maximum(t_lo, t_hi)
     parallel = (d == 0.0)[:, None, :] & np.ones((1, m, 1), dtype=bool)
@@ -136,6 +144,63 @@ def segments_hit_spheres(
     closest = f + t[:, :, None] * d[:, None, :]
     dist2 = np.einsum("imj,imj->im", closest, closest)
     return (dist2 <= r[None, :] ** 2).any(axis=1)
+
+
+# -- pair tests: query row i against primitive row i --------------------------
+# The arithmetic of the (n, m) tests above, evaluated on gathered
+# (query, primitive) rows: pair i gets exactly the bits the broadcast
+# form gives its cell.  The bvh backend decides the candidate pairs its
+# tree traversal produces with these.  ``(d * d).sum(axis=1)`` rounds
+# differently from the einsum for dim >= 3, so the sphere tests keep
+# the einsum.
+
+
+def point_box_pairs_hit(box_lo: np.ndarray, box_hi: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``(k,)`` bool: ``pts[i]`` is inside (inclusively) box ``i``."""
+    return np.all((pts >= box_lo) & (pts <= box_hi), axis=1)
+
+
+def point_sphere_pairs_hit(
+    sph_center: np.ndarray, sph_radius: np.ndarray, pts: np.ndarray
+) -> np.ndarray:
+    """``(k,)`` bool: ``pts[i]`` is inside (inclusively) sphere ``i``."""
+    diff = pts - sph_center
+    return np.einsum("ij,ij->i", diff, diff) <= sph_radius**2
+
+
+def segment_box_pairs_hit(
+    obs_lo: np.ndarray, obs_hi: np.ndarray, p: np.ndarray, q: np.ndarray
+) -> np.ndarray:
+    """``(k,)`` bool: segment ``p[i] -> q[i]`` hits box ``i`` (slab test)."""
+    d = q - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(d != 0.0, 1.0 / d, np.inf)
+        t_lo = (obs_lo - p) * inv
+        t_hi = (obs_hi - p) * inv
+    t_near = np.minimum(t_lo, t_hi)
+    t_far = np.maximum(t_lo, t_hi)
+    parallel = d == 0.0
+    miss_parallel = parallel & ~((p >= obs_lo) & (p <= obs_hi))
+    t_near = np.where(parallel, -np.inf, t_near)
+    t_far = np.where(parallel, np.inf, t_far)
+    t0 = np.maximum(t_near.max(axis=1), 0.0)
+    t1 = np.minimum(t_far.min(axis=1), 1.0)
+    return (t0 <= t1) & ~miss_parallel.any(axis=1)
+
+
+def segment_sphere_pairs_hit(
+    sph_center: np.ndarray, sph_radius: np.ndarray, p: np.ndarray, q: np.ndarray
+) -> np.ndarray:
+    """``(k,)`` bool: segment ``p[i] -> q[i]`` hits sphere ``i``."""
+    d = q - p
+    dd = np.einsum("ij,ij->i", d, d)
+    f = p - sph_center
+    num = -np.einsum("ij,ij->i", f, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(dd > 0.0, num / dd, 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    closest = f + t[:, None] * d
+    return np.einsum("ij,ij->i", closest, closest) <= sph_radius**2
 
 
 class ReferenceKernels(KernelBackend):

@@ -21,6 +21,12 @@ from repro.geometry.bvh import BVH
 from repro.geometry.scenarios import cluttered_spheres, shelf_warehouse
 from repro.kernels import EnvKernelData, available_backends, get_backend
 from repro.kernels.bvh_backend import _CACHE_ATTR, BVHKernels
+from repro.kernels.reference import (
+    point_box_pairs_hit,
+    points_hit_boxes,
+    segment_box_pairs_hit,
+    segments_hit_boxes,
+)
 from repro.spec import ExecutionPolicy, WorkloadSpec
 
 try:
@@ -278,16 +284,33 @@ class TestDegenerateCases:
 # -- tree structure ---------------------------------------------------------
 
 
-def _depth(tree: BVH) -> int:
-    depth = {0: 1}
-    best = 0
+def _node_depths(tree: BVH) -> np.ndarray:
+    """Depth of every node (root = 1); parents precede children."""
+    depth = np.zeros(tree.num_nodes, dtype=np.int64)
+    depth[0] = 1
     for ni in range(tree.num_nodes):
-        d = depth[ni]
-        best = max(best, d)
         left = int(tree.node_left[ni])
         if left >= 0:
-            depth[left] = depth[left + 1] = d + 1
-    return best
+            depth[left] = depth[left + 1] = depth[ni] + 1
+    return depth
+
+
+def _depth(tree: BVH) -> int:
+    return int(_node_depths(tree).max())
+
+
+def _subtree_prims(tree: BVH, node: int) -> np.ndarray:
+    """Primitive ids held by the leaves under ``node``."""
+    out, stack = [], [node]
+    while stack:
+        ni = stack.pop()
+        left = int(tree.node_left[ni])
+        if left < 0:
+            s = int(tree.node_start[ni])
+            out.extend(tree.prim_index[s : s + int(tree.node_count[ni])].tolist())
+        else:
+            stack += [left, left + 1]
+    return np.asarray(out, dtype=np.int64)
 
 
 class TestTreeStructure:
@@ -295,8 +318,12 @@ class TestTreeStructure:
         tree = BVH(np.empty((0, 3)), np.empty((0, 3)))
         assert tree.num_nodes == 0
         assert tree.nbytes == 0
-        assert not tree.points_hit(np.zeros((4, 3)), None).any()
-        assert not tree.segments_hit(np.zeros((4, 3)), np.ones((4, 3)), None).any()
+
+        def never_called(query_idx, prim_idx):
+            raise AssertionError("an empty tree has no candidate pairs")
+
+        assert not tree.points_hit(np.zeros((4, 3)), never_called).any()
+        assert not tree.segments_hit(np.zeros((4, 3)), np.ones((4, 3)), never_called).any()
 
     def test_prim_index_is_permutation(self):
         rng = np.random.default_rng(6)
@@ -332,11 +359,146 @@ class TestTreeStructure:
         assert np.all(tree.node_lo[0] <= lo.min(axis=0))
         assert np.all(tree.node_hi[0] >= hi.max(axis=0))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 37, 100, 257, 1000])
+    @pytest.mark.parametrize("leaf_size", [1, 3, 8])
+    def test_build_invariants(self, n, leaf_size):
+        rng = np.random.default_rng(10 * n + leaf_size)
+        lo = rng.uniform(-5, 5, size=(n, 3))
+        hi = lo + rng.uniform(0, 1, size=(n, 3))
+        tree = BVH(lo, hi, leaf_size=leaf_size)
+        bound = int(np.ceil(np.log2(int(np.ceil(n / leaf_size))))) + 1
+        assert _node_depths(tree).max() <= bound
+        # Every node but the root is the left or the right (= left + 1)
+        # child of exactly one parent.
+        lefts = tree.node_left[tree.node_left >= 0]
+        children = np.concatenate([lefts, lefts + 1])
+        assert sorted(children.tolist()) == list(range(1, tree.num_nodes))
+        leaves = tree.node_left < 0
+        assert np.all((tree.node_count[leaves] >= 1) & (tree.node_count[leaves] <= leaf_size))
+        assert sorted(tree.prim_index.tolist()) == list(range(n))
+        for ni in range(tree.num_nodes):
+            prims = _subtree_prims(tree, ni)
+            assert np.all(tree.node_lo[ni] <= lo[prims])
+            assert np.all(tree.node_hi[ni] >= hi[prims])
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             BVH(np.zeros((3, 2)), np.zeros((4, 2)))
         with pytest.raises(ValueError, match="leaf_size"):
             BVH(np.zeros((3, 2)), np.ones((3, 2)), leaf_size=0)
+
+
+# -- level-synchronous traversal --------------------------------------------
+
+
+def _tree_points_hit(tree, lo, hi, pts):
+    return tree.points_hit(pts, lambda qi, pi: point_box_pairs_hit(lo[pi], hi[pi], pts[qi]))
+
+
+def _tree_segments_hit(tree, lo, hi, p, q):
+    return tree.segments_hit(
+        p, q, lambda qi, pi: segment_box_pairs_hit(lo[pi], hi[pi], p[qi], q[qi])
+    )
+
+
+def _random_boxes(rng, n, dim):
+    lo = rng.uniform(-10, 10, size=(n, dim))
+    return lo, lo + rng.uniform(0, 3, size=(n, dim))
+
+
+def _random_segments(rng, n, dim):
+    """Random segments with zero-length and axis-parallel ones mixed in."""
+    p = rng.uniform(-11, 11, size=(n, dim))
+    q = rng.uniform(-11, 11, size=(n, dim))
+    q[: n // 8] = p[: n // 8]
+    q[n // 8 : n // 4, 0] = p[n // 8 : n // 4, 0]
+    return p, q
+
+
+class TestTraversal:
+    """The tree walk against the brute-force reference scan, exactly."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("leaf_size", [1, 3])
+    @pytest.mark.parametrize("n", [1, 5, 37, 100, 257])
+    def test_leaf_sizes_and_counts(self, n, leaf_size, dim):
+        rng = np.random.default_rng(100 * n + 10 * leaf_size + dim)
+        lo, hi = _random_boxes(rng, n, dim)
+        tree = BVH(lo, hi, leaf_size=leaf_size)
+        corners = np.where(rng.random((n, dim)) < 0.5, lo, hi)
+        pts = np.vstack([rng.uniform(-11, 11, size=(200, dim)), corners])
+        np.testing.assert_array_equal(
+            _tree_points_hit(tree, lo, hi, pts), points_hit_boxes(lo, hi, pts)
+        )
+        p, q = _random_segments(rng, 160, dim)
+        np.testing.assert_array_equal(
+            _tree_segments_hit(tree, lo, hi, p, q), segments_hit_boxes(lo, hi, p, q)
+        )
+
+    @pytest.mark.parametrize("leaf_size", [1, 3])
+    def test_hits_in_leaves_at_different_depths(self, leaf_size):
+        """One batch whose queries are decided at leaves of different
+        depths: a shallow hit drops out while deeper pairs keep going."""
+        n = 25  # leaves sit at two depths for leaf_size 1 and 3
+        rng = np.random.default_rng(leaf_size)
+        # Disjoint unit boxes on a line, so each center hits one box only.
+        lo = np.column_stack([3.0 * np.arange(n), np.zeros(n)]) + rng.uniform(0, 1, (n, 2))
+        hi = lo + 1.0
+        tree = BVH(lo, hi, leaf_size=leaf_size)
+        depths = _node_depths(tree)
+        leaf_depth = np.empty(n, dtype=np.int64)
+        for ni in np.flatnonzero(tree.node_left < 0):
+            s = tree.node_start[ni]
+            leaf_depth[tree.prim_index[s : s + tree.node_count[ni]]] = depths[ni]
+        assert len(set(leaf_depth.tolist())) >= 2
+        centers = 0.5 * (lo + hi)
+        misses = centers + np.array([1.5, 0.0])  # in the gaps between boxes
+        pts = rng.permutation(np.vstack([centers, misses]))
+        got = _tree_points_hit(tree, lo, hi, pts)
+        np.testing.assert_array_equal(got, points_hit_boxes(lo, hi, pts))
+        assert got.sum() == n
+        # Segments across every box, and ones inside a single box.
+        p = centers - np.array([0.0, 2.0])
+        q = centers + np.array([0.0, 2.0])
+        q[::2] = centers[::2] + 0.25
+        np.testing.assert_array_equal(
+            _tree_segments_hit(tree, lo, hi, p, q), segments_hit_boxes(lo, hi, p, q)
+        )
+        assert _tree_segments_hit(tree, lo, hi, p, q).all()
+
+    def test_cluttered_spheres_points_and_segments(self):
+        data = cluttered_spheres(500, seed=2)
+        c, r = data.sph_center, data.sph_radius
+        rng = np.random.default_rng(11)
+        u = rng.normal(size=c.shape)
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        axis = np.zeros_like(c)
+        axis[np.arange(len(c)), rng.integers(0, 3, len(c))] = 1.0
+        on_axis = c + r[:, None] * axis  # squared distance often == r**2 exactly
+        surface = c + r[:, None] * u
+        outside = np.nextafter(surface, surface + u)
+        pts = np.vstack([rng.uniform(-10, 10, size=(300, 3)), on_axis, surface, outside])
+        assert (np.einsum("ij,ij->i", on_axis - c, on_axis - c) == r**2).any()
+        np.testing.assert_array_equal(BVH_K.points_free(data, pts), REF.points_free(data, pts))
+        p = rng.uniform(-10, 10, size=(len(c), 3))
+        for q in (on_axis, surface, outside, p):  # last: zero-length
+            np.testing.assert_array_equal(
+                BVH_K.segments_free(data, p, q), REF.segments_free(data, p, q)
+            )
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_empty_and_single_row_batches(self, rows):
+        data, _, _, _ = _world_from_script((3, 40, 10, 3))
+        rng = np.random.default_rng(rows)
+        for _ in range(20):
+            pts = rng.uniform(-10, 10, size=(rows, 3))
+            q = rng.uniform(-10, 10, size=(rows, 3))
+            got = BVH_K.points_free(data, pts)
+            assert got.shape == (rows,)
+            np.testing.assert_array_equal(got, REF.points_free(data, pts))
+            got = BVH_K.segments_free(data, pts, q)
+            assert got.shape == (rows,)
+            np.testing.assert_array_equal(got, REF.segments_free(data, pts, q))
 
 
 # -- snapshot caching & invalidation ---------------------------------------

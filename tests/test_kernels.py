@@ -33,7 +33,17 @@ from repro.kernels import (
     register,
 )
 from repro.kernels.base import KernelBackend
-from repro.kernels.reference import _PER_AXIS_MIN_CELLS, points_hit_boxes
+from repro.kernels.reference import (
+    _PER_AXIS_MIN_CELLS,
+    point_box_pairs_hit,
+    point_sphere_pairs_hit,
+    points_hit_boxes,
+    points_hit_spheres,
+    segment_box_pairs_hit,
+    segment_sphere_pairs_hit,
+    segments_hit_boxes,
+    segments_hit_spheres,
+)
 from repro.knn.brute import BruteForceNN
 
 try:
@@ -427,3 +437,77 @@ def test_points_hit_boxes_both_forms_match_broadcast(n_boxes, n_random):
 def test_points_hit_boxes_parametrisation_spans_the_crossover():
     cells = [m * n for m, n in [(1, 4), (3, 16), (30, 64), (125, 300)]]
     assert min(cells) < _PER_AXIS_MIN_CELLS <= max(cells)
+
+
+# -- pair tests: query row i against primitive row i -------------------------
+
+
+def _pair_matrix(pair_test, prim_a, prim_b, *queries):
+    """Evaluate ``pair_test`` on every (query, primitive) pair -> ``(n, m)``."""
+    n, m = queries[0].shape[0], prim_a.shape[0]
+    qi = np.repeat(np.arange(n), m)
+    pi = np.tile(np.arange(m), n)
+    rows = [x[qi] for x in queries]
+    return pair_test(prim_a[pi], prim_b[pi], *rows).reshape(n, m)
+
+
+def _assert_pairs_match(pair_test, broadcast, prim_a, prim_b, *queries):
+    """Every cell equals the broadcast test of its single primitive, and the
+    row reduction equals the broadcast test over all primitives."""
+    got = _pair_matrix(pair_test, prim_a, prim_b, *queries)
+    cells = np.column_stack(
+        [broadcast(prim_a[j : j + 1], prim_b[j : j + 1], *queries) for j in range(len(prim_a))]
+    ).reshape(got.shape)
+    np.testing.assert_array_equal(got, cells)
+    np.testing.assert_array_equal(got.any(axis=1), broadcast(prim_a, prim_b, *queries))
+
+
+def _boxes_for_pairs(seed):
+    rng = np.random.default_rng(seed)
+    lo = rng.integers(-8, 6, (12, 3)).astype(float)
+    hi = lo + rng.integers(0, 4, (12, 3))  # zero-width slabs included
+    return rng, lo, hi
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_point_box_pairs_match_broadcast(seed):
+    rng, lo, hi = _boxes_for_pairs(seed)
+    on, off = _boundary_points(lo, hi)
+    for pts in (rng.uniform(-10, 10, (200, 3)), on, off):
+        _assert_pairs_match(point_box_pairs_hit, points_hit_boxes, lo, hi, pts)
+    assert _pair_matrix(point_box_pairs_hit, lo, hi, on).any(axis=1).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_segment_box_pairs_match_broadcast(seed):
+    rng, lo, hi = _boxes_for_pairs(seed)
+    on, off = _boundary_points(lo, hi)
+    p = rng.uniform(-10, 10, (len(on), 3))
+    for a, b in (
+        (p, rng.uniform(-10, 10, p.shape)),  # random
+        (p, on),  # ends on faces, edges and corners
+        (p, off),  # ends one ulp outside them
+        (on, on),  # zero-length on the boundary
+        (off, off),  # zero-length just outside
+        (on, np.where(np.arange(3) == 0, on + 5.0, on)),  # axis-parallel from the boundary
+        (off, np.where(np.arange(3) == 1, off - 5.0, off)),  # axis-parallel grazing
+    ):
+        _assert_pairs_match(segment_box_pairs_hit, segments_hit_boxes, lo, hi, a, b)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_sphere_pairs_match_broadcast(dim):
+    rng = np.random.default_rng(dim)
+    c = rng.uniform(-5, 5, (15, dim))
+    r = rng.uniform(0.1, 2.0, 15)
+    u = rng.normal(size=(15, dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    axis = np.eye(dim)[rng.integers(0, dim, 15)]
+    on_axis = c + r[:, None] * axis
+    surface = c + r[:, None] * u
+    outside = np.nextafter(surface, surface + u)
+    pts = np.vstack([rng.uniform(-8, 8, (100, dim)), on_axis, surface, outside])
+    _assert_pairs_match(point_sphere_pairs_hit, points_hit_spheres, c, r, pts)
+    p = rng.uniform(-8, 8, pts.shape)
+    for q in (rng.uniform(-8, 8, pts.shape), pts, p):  # random, onto surfaces, zero-length
+        _assert_pairs_match(segment_sphere_pairs_hit, segments_hit_spheres, c, r, p, q)
