@@ -8,7 +8,7 @@ Packages
 --------
 ``repro.kernels``
     Pluggable compute-kernel backends (bit-exact ``reference``, float32
-    blocked ``fast32``, optional numba) behind a registry; selected via
+    blocked ``fast32``, tree-culled ``bvh``) behind a registry; selected via
     ``ExecutionPolicy(kernel_backend=...)``.
 ``repro.geometry``
     Workspace primitives, benchmark environments, vectorised collision.

@@ -24,10 +24,8 @@ accepted directly::
 
     >>> plan(WorkloadSpec(num_regions=64), execution=ExecutionPolicy(num_pes=8))
 
-The legacy flat-kwarg construction (``PlanRequest(num_regions=512,
-num_pes=96, ...)``) keeps working through a deprecation shim, and the
-legacy entry points (``build_prm_workload`` / ``simulate_prm`` and the
-RRT pair) remain the underlying building blocks.
+The lower-level entry points (``build_prm_workload`` / ``simulate_prm``
+and the RRT pair) remain the underlying building blocks.
 
 ``ExecutionPolicy.mode == "simulate"`` (default) replays the measured
 workload on a virtual machine of ``num_pes`` PEs.  ``mode == "local"``
@@ -154,7 +152,7 @@ class PlanReport:
     @property
     def metrics(self) -> "dict[str, object] | None":
         """Snapshot of the tracer's metric registry, if one was attached."""
-        tr = active(self.request.tracer)
+        tr = active(self.request.obs.tracer)
         return tr.metrics.as_dict() if tr is not None else None
 
     def query_engine(
@@ -217,14 +215,14 @@ class PlanReport:
         :func:`plan` surfaces it on the report (``retries``,
         ``abandoned``, ``attempts``, ``worker_deaths``).
         """
-        kwargs.setdefault("tracer", self.request.tracer)
+        kwargs.setdefault("tracer", self.request.obs.tracer)
         return self.query_engine().solve_many(
             requests, execution=execution, faults=faults, **kwargs
         )
 
     def trace_summary(self) -> "TraceSummary | None":
         """Aggregate the attached tracer's in-memory trace, if any."""
-        tr = active(self.request.tracer)
+        tr = active(self.request.obs.tracer)
         if tr is None or tr.memory is None:
             return None
         return summarize_events(tr.memory.events)
@@ -251,8 +249,9 @@ class PlanReport:
     def summary(self) -> str:
         """Human-readable report of the run."""
         lines = [
-            f"{self.request.planner.upper()} / {self.request.strategy} "
-            f"on {self.request.num_pes} PEs ({self.request.execution.mode})",
+            f"{self.request.workload.planner.upper()} / "
+            f"{self.request.execution.strategy} on "
+            f"{self.request.execution.num_pes} PEs ({self.request.execution.mode})",
             f"roadmap: {self.roadmap.num_vertices} vertices, "
             f"{self.roadmap.num_edges} edges",
             f"total time: {self.total_time:.2f}",

@@ -18,6 +18,12 @@ same operation counts as the reference path: the virtual-time model
 depends on ``PlannerStats`` and ``CollisionCounters`` being identical, so
 a speedup that changes the counts is a bug, not a win.
 
+Each row is declared once, as a :class:`Row` in :data:`ROWS`: its
+set-up, the baseline and candidate it times against each other, the
+parity flags it writes, the fields it must carry and its medium-scale
+:class:`Floor`.  :func:`run_suite`, :func:`validate` and the CLI summary
+all read that table.
+
 Usage::
 
     python -m repro.bench perf                     # medium scale -> BENCH_perf.json
@@ -34,8 +40,10 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from functools import partial
+from types import SimpleNamespace
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -53,7 +61,7 @@ from ..planners.query import RoadmapQuery
 from ..planners.rrt import RRT
 from ..runtime.local_pool import run_tasks_parallel
 
-__all__ = ["run_suite", "main", "validate", "SCALES"]
+__all__ = ["run_suite", "main", "validate", "write_merged", "SCALES", "ROWS", "Row", "Floor"]
 
 #: Benchmark sizes.  "medium" is the checked-in regression baseline;
 #: "smoke" is CI-sized (seconds, not minutes).
@@ -97,15 +105,81 @@ _KERNEL_ENV = "mixed-30"
 _STABILITY_EPS = 1e-6
 _SEED = 42
 
+#: The timing triple every baseline-vs-candidate row records.
+_TIMINGS = ("before_s", "after_s", "speedup")
 
-def _numba_version() -> "str | None":
-    """Installed numba version, or None when the optional dep is absent."""
-    try:
-        import numba
 
-        return str(numba.__version__)
-    except ImportError:
-        return None
+# -- the row record ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Floor:
+    """A medium-scale gate on one number of a row.
+
+    The value at ``path`` must reach ``threshold`` (exceed it when
+    ``strict``).  ``guard = (field, minimum)`` first requires the row to
+    have been measured at the scale the threshold was set for.
+    """
+
+    path: "tuple[str, ...]"
+    threshold: float
+    strict: bool = False
+    guard: "tuple[str, int] | None" = None
+
+
+@dataclass(frozen=True)
+class Row:
+    """One ``perf`` row: how it is measured and what its JSON entry must
+    carry.
+
+    ``setup(params)`` — ``setup(params, size)`` for a sweep row, once per
+    size in ``params[sweep]`` — builds the untimed context.
+    ``baseline(ctx)`` and ``candidate(ctx)`` are timed best-of-N against
+    each other; a row without a baseline times itself inside
+    ``candidate``.  Each ``parity`` predicate ``(ref, fast, ctx)`` decides
+    the flag it is keyed by, and a false flag raises.  ``describe(ctx,
+    ref, fast)`` returns the row's other fields, plus an optional
+    ``"meta"`` dict of run provenance.
+    """
+
+    name: str
+    setup: Callable
+    candidate: Callable
+    baseline: "Callable | None" = None
+    parity: "Mapping[str, Callable]" = field(default_factory=dict)
+    describe: Callable = lambda ctx, ref, fast: {}
+    #: constant fields of the row (scene names and the like).
+    info: "Mapping[str, Any]" = field(default_factory=dict)
+    #: constant run provenance merged into the row's ``meta``.
+    meta: "Mapping[str, Any]" = field(default_factory=dict)
+    #: required fields beyond the timings and the recorded flags.
+    fields: "tuple[str, ...]" = ()
+    #: fields that must be positive numbers (per size in a sweep row).
+    timed: "tuple[str, ...]" = _TIMINGS
+    floor: "Floor | None" = None
+    #: ``SCALES`` key holding the sizes of a sweep row.
+    sweep: "str | None" = None
+    #: (the scale's repeats, sweep size or None) -> repeats for this row.
+    repeats: Callable = lambda r, n: r
+    #: alternate baseline and candidate runs instead of timing each side
+    #: in one block.
+    interleave: bool = False
+    #: write the parity flags into the row (otherwise they only raise).
+    record_parity: bool = True
+
+    @property
+    def flags(self) -> "tuple[str, ...]":
+        """Parity flags the row's JSON entry carries."""
+        return tuple(self.parity) if self.record_parity else ()
+
+    @property
+    def required(self) -> "tuple[str, ...]":
+        """Fields whose absence from the JSON entry is a problem."""
+        top = ("sizes", "rows") if self.sweep else self.timed
+        return top + self.flags + self.fields
+
+
+# -- measurement ---------------------------------------------------------------
 
 
 def _best_of(repeats: int, fn) -> "tuple[float, object]":
@@ -120,222 +194,194 @@ def _best_of(repeats: int, fn) -> "tuple[float, object]":
     return float(best), out
 
 
+def _time_pair(repeats: int, baseline, candidate, interleave: bool = False):
+    """Best-of-``repeats`` wall times of both sides; returns
+    ``(before_s, after_s, last baseline result, last candidate result)``.
+
+    Interleaving the sides puts machine-state drift (CPU frequency, a
+    forked parent's heap growing over a long suite run) on both sides of
+    the ratio, and min-of-N recovers each side's fast-phase time."""
+    order = [0, 1] * repeats if interleave else [0] * repeats + [1] * repeats
+    best, last = [np.inf, np.inf], [None, None]
+    for side in order:
+        t, last[side] = _best_of(1, (baseline, candidate)[side])
+        best[side] = min(best[side], t)
+    return best[0], best[1], last[0], last[1]
+
+
+def _measure(row: Row, params: dict, size: "int | None" = None) -> dict:
+    """One measurement of ``row`` (at one sweep size); raises on a false
+    parity flag."""
+    ctx = row.setup(params) if size is None else row.setup(params, size)
+    out: dict = {}
+    if row.baseline is None:
+        ref, fast = None, row.candidate(ctx)
+    else:
+        before_s, after_s, ref, fast = _time_pair(
+            row.repeats(params["repeats"], size),
+            partial(row.baseline, ctx), partial(row.candidate, ctx), row.interleave,
+        )
+        out.update(before_s=before_s, after_s=after_s, speedup=before_s / after_s)
+    flags = {f: bool(pred(ref, fast, ctx)) for f, pred in row.parity.items()}
+    failed = [f"{f}=false" for f, ok in flags.items() if not ok]
+    if failed:
+        at = "" if size is None else f" at n={size}"
+        raise AssertionError(
+            f"{row.name}{at}: candidate diverged from the baseline ({', '.join(failed)})"
+        )
+    if row.record_parity:
+        out.update(flags)
+    out.update(row.describe(ctx, ref, fast))
+    return out
+
+
+def _run_row(row: Row, params: dict) -> dict:
+    """The JSON entry of ``row``, stamped with the runtime it ran under."""
+    if row.sweep is None:
+        out = _measure(row, params)
+    else:
+        sizes = list(params[row.sweep])
+        rows = {str(n): _measure(row, params, n) for n in sizes}
+        out = {"sizes": sizes, "rows": rows}
+        out.update({f: all(r[f] for r in rows.values()) for f in row.flags})
+    out["meta"] = {
+        "kernel_backend": "reference", "numpy": np.__version__,
+        **row.meta, **out.pop("meta", {}),
+    }
+    return {**row.info, **out}
+
+
+# -- shared pieces of the rows -------------------------------------------------
+
+
 def _cspace():
     return EuclideanCSpace(environments.by_name(_ENV_NAME))
 
 
-def bench_prm_build(params: dict) -> dict:
-    """Sequential vs batched PRM build on the default path
-    (``connect_same_component=True``), with operation-count parity
-    asserted field for field."""
-    n = params["prm_samples"]
+def _counters(cs) -> "tuple[int, int]":
+    return cs.env.counters.point_checks, cs.env.counters.segment_checks
 
-    def run(batched: bool):
-        """One timed PRM build; returns comparable observables."""
-        cs = _cspace()
-        prm = PRM(cs, k=6, connect_same_component=True, batched=batched)
-        res = prm.build(n, np.random.default_rng(_SEED))
-        counters = (cs.env.counters.point_checks, cs.env.counters.segment_checks)
-        edges = sorted((min(u, v), max(u, v)) for u, v, _w in res.roadmap.edges())
-        return asdict(res.stats), counters, edges
 
-    before_s, ref = _best_of(params["repeats"], lambda: run(False))
-    after_s, fast = _best_of(params["repeats"], lambda: run(True))
-    stats_equal = ref[0] == fast[0]
-    counters_equal = ref[1] == fast[1]
-    edges_equal = ref[2] == fast[2]
-    if not (stats_equal and counters_equal and edges_equal):
-        raise AssertionError(
-            "batched PRM build diverged from the sequential reference: "
-            f"stats_equal={stats_equal} counters_equal={counters_equal} "
-            f"edges_equal={edges_equal}"
-        )
+def _weighted_edges(graph) -> list:
+    return sorted((min(u, v), max(u, v), w) for u, v, w in graph.edges())
+
+
+def _same(i: int) -> Callable:
+    """Parity predicate: element ``i`` of both results is equal."""
+    return lambda ref, fast, ctx: ref[i] == fast[i]
+
+
+#: Parity of builds returning (stats, counters, edges).
+_BUILD_PARITY = {"stats_equal": _same(0), "counters_equal": _same(1), "edges_equal": _same(2)}
+
+
+def _dispatch_meta(d) -> dict:
+    """Row meta of one pool run's dispatch accounting."""
     return {
-        "n_samples": n,
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "stats_equal": stats_equal,
-        "counters_equal": counters_equal,
-        "edges_equal": edges_equal,
-        "lp_calls": ref[0]["lp_calls"],
-        "lp_checks": ref[0]["lp_checks"],
+        "chunk_policy": d.chunk_policy,
+        "chunks_issued": d.chunks_issued,
+        "bytes_shipped": d.context_bytes + d.task_bytes,
     }
 
 
-def bench_rrt_build(params: dict) -> dict:
-    """Sequential vs batched (predict-validate-replay) RRT growth on
-    med-cube, with the full parity surface — stats, counters, exact edge
-    weights, parent pointers — asserted field for field."""
-    n = params["rrt_nodes"]
-
-    def run(batched: bool):
-        """One timed RRT growth; returns comparable observables."""
-        cs = _cspace()
-        rrt = RRT(cs, step_size=0.6, goal_bias=0.05, batched=batched)
-        res = rrt.grow(np.full(cs.dim, -9.0), n, np.random.default_rng(_SEED))
-        counters = (cs.env.counters.point_checks, cs.env.counters.segment_checks)
-        edges = sorted((min(u, v), max(u, v), w) for u, v, w in res.tree.edges())
-        return asdict(res.stats), counters, edges, dict(res.parents)
-
-    before_s, ref = _best_of(params["repeats"], lambda: run(False))
-    after_s, fast = _best_of(params["repeats"], lambda: run(True))
-    stats_equal = ref[0] == fast[0]
-    counters_equal = ref[1] == fast[1]
-    edges_equal = ref[2] == fast[2] and ref[3] == fast[3]
-    if not (stats_equal and counters_equal and edges_equal):
-        raise AssertionError(
-            "batched RRT growth diverged from the sequential reference: "
-            f"stats_equal={stats_equal} counters_equal={counters_equal} "
-            f"edges_equal={edges_equal}"
-        )
-    return {
-        "n_nodes": n,
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "stats_equal": stats_equal,
-        "counters_equal": counters_equal,
-        "edges_equal": edges_equal,
-        "nn_distance_evals": ref[0]["nn_distance_evals"],
-        "lp_checks": ref[0]["lp_checks"],
-    }
+def _capped(k: int) -> Callable:
+    return lambda r, n: min(r, k)
 
 
-def bench_rrt_radial_workload(params: dict) -> dict:
-    """Sequential vs batched radial-subdivision RRT workload build on the
-    Fig. 10 mixed-30 environment (Alg. 2 branch growth plus connection),
-    parity asserted on the merged tree, per-branch stats, and counters."""
-    regions = params["rrt_regions"]
-    npr = params["rrt_nodes_per_region"]
-
-    def run(batched: bool):
-        """One timed radial workload build; returns comparable observables."""
-        cs = EuclideanCSpace(environments.by_name("mixed-30"))
-        wl = build_rrt_workload(
-            cs, np.full(cs.dim, -9.0), regions, nodes_per_region=npr,
-            seed=_SEED, batched=batched,
-        )
-        counters = (cs.env.counters.point_checks, cs.env.counters.segment_checks)
-        edges = sorted((min(u, v), max(u, v), w) for u, v, w in wl.tree.edges())
-        branch = {rid: asdict(b.stats) for rid, b in wl.branch_work.items()}
-        return branch, counters, edges
-
-    before_s, ref = _best_of(params["repeats"], lambda: run(False))
-    after_s, fast = _best_of(params["repeats"], lambda: run(True))
-    stats_equal = ref[0] == fast[0]
-    counters_equal = ref[1] == fast[1]
-    edges_equal = ref[2] == fast[2]
-    if not (stats_equal and counters_equal and edges_equal):
-        raise AssertionError(
-            "batched radial RRT workload diverged from the sequential "
-            f"reference: stats_equal={stats_equal} "
-            f"counters_equal={counters_equal} edges_equal={edges_equal}"
-        )
-    return {
-        "environment": "mixed-30",
-        "n_regions": regions,
-        "nodes_per_region": npr,
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "stats_equal": stats_equal,
-        "counters_equal": counters_equal,
-        "edges_equal": edges_equal,
-    }
+# prm_build_default_path / rrt_build_default_path / rrt_radial_workload
 
 
-def bench_batch_local_plan(params: dict) -> dict:
-    """Per-pair local planner calls vs one ``batch_pairs`` invocation."""
-    m = params["lp_pairs"]
+def _prm_build(n: int, batched: bool):
+    """Sequential or batched PRM build on the default path
+    (``connect_same_component=True``)."""
+    cs = _cspace()
+    prm = PRM(cs, k=6, connect_same_component=True, batched=batched)
+    res = prm.build(n, np.random.default_rng(_SEED))
+    edges = sorted((min(u, v), max(u, v)) for u, v, _w in res.roadmap.edges())
+    return asdict(res.stats), _counters(cs), edges
+
+
+def _rrt_grow(n: int, batched: bool = True, nn_factory=None):
+    """RRT growth on med-cube; returns (stats, counters, edges, parents)."""
+    cs = _cspace()
+    rrt = RRT(cs, step_size=0.6, goal_bias=0.05, batched=batched, nn_factory=nn_factory)
+    res = rrt.grow(np.full(cs.dim, -9.0), n, np.random.default_rng(_SEED))
+    return asdict(res.stats), _counters(cs), _weighted_edges(res.tree), dict(res.parents)
+
+
+def _radial_workload(params: dict, batched: bool):
+    """Radial-subdivision RRT workload build on mixed-30 (Alg. 2 branch
+    growth plus connection); returns (branch stats, counters, edges)."""
+    cs = EuclideanCSpace(environments.by_name("mixed-30"))
+    wl = build_rrt_workload(
+        cs, np.full(cs.dim, -9.0), params["rrt_regions"],
+        nodes_per_region=params["rrt_nodes_per_region"], seed=_SEED, batched=batched,
+    )
+    branch = {rid: asdict(b.stats) for rid, b in wl.branch_work.items()}
+    return branch, _counters(cs), _weighted_edges(wl.tree)
+
+
+# batch_local_plan / knn
+
+
+def _lp_setup(params: dict):
     cs = _cspace()
     rng = np.random.default_rng(_SEED)
     lo, hi = cs.bounds.lo, cs.bounds.hi
-    starts = rng.uniform(lo, hi, size=(m, cs.dim))
-    ends = starts + rng.uniform(-1.0, 1.0, size=(m, cs.dim))
-    ends = np.clip(ends, lo, hi)
-    lp = StraightLinePlanner(resolution=0.25)
-
-    def run_loop():
-        """Baseline: one local-planner call per pair."""
-        ok = np.empty(m, dtype=bool)
-        checks = 0
-        for i in range(m):
-            r = lp(cs, starts[i], ends[i])
-            ok[i] = r.valid
-            checks += r.checks
-        return ok, checks
-
-    def run_batch():
-        """Vectorised: all pairs in one batch_pairs call."""
-        ok, checks, _lengths = lp.batch_pairs(cs, starts, ends)
-        return ok, checks
-
-    before_s, (ok0, ch0) = _best_of(params["repeats"], run_loop)
-    after_s, (ok1, ch1) = _best_of(params["repeats"], run_batch)
-    if not (np.array_equal(ok0, ok1) and ch0 == ch1):
-        raise AssertionError("batch_pairs diverged from the per-pair reference")
-    return {
-        "n_pairs": m,
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "checks": int(ch0),
-    }
+    starts = rng.uniform(lo, hi, size=(params["lp_pairs"], cs.dim))
+    ends = np.clip(starts + rng.uniform(-1.0, 1.0, size=starts.shape), lo, hi)
+    return SimpleNamespace(cs=cs, starts=starts, ends=ends, lp=StraightLinePlanner(resolution=0.25))
 
 
-def bench_knn(params: dict) -> dict:
-    """Interleaved query/insert k-NN loop vs the growing-visibility block
-    query used by the batched build."""
+def _lp_loop(c):
+    """Baseline: one local-planner call per pair."""
+    results = [c.lp(c.cs, s, e) for s, e in zip(c.starts, c.ends)]
+    return np.array([r.valid for r in results]), sum(r.checks for r in results)
+
+
+def _lp_batch(c):
+    """Vectorised: all pairs in one batch_pairs call."""
+    ok, checks, _lengths = c.lp.batch_pairs(c.cs, c.starts, c.ends)
+    return ok, checks
+
+
+def _knn_setup(params: dict):
     n = params["knn_points"]
-    k = 6
-    rng = np.random.default_rng(_SEED)
-    pts = rng.uniform(0.0, 10.0, size=(n, 3))
-    ids = np.arange(n, dtype=np.int64)
+    pts = np.random.default_rng(_SEED).uniform(0.0, 10.0, size=(n, 3))
+    return SimpleNamespace(pts=pts, ids=np.arange(n, dtype=np.int64), k=6)
 
-    def run_loop():
-        """Baseline: one knn query per point."""
-        nn = BruteForceNN(3)
-        out = []
-        for i in range(n):
-            out.append(nn.knn(pts[i], k))
-            nn.add(int(ids[i]), pts[i])
-        return out
 
-    def run_block():
-        """Vectorised: blocked queries against the growing structure."""
-        nn = BruteForceNN(3)
-        out = []
-        for lo in range(0, n, 64):
-            out.extend(nn.knn_block_growing(ids[lo : lo + 64], pts[lo : lo + 64], k))
-        return out
+def _knn_loop(c):
+    """Baseline: one knn query per point, then insert it."""
+    nn = BruteForceNN(3)
+    out = []
+    for i, p in enumerate(c.pts):
+        out.append(nn.knn(p, c.k))
+        nn.add(int(c.ids[i]), p)
+    return out
 
-    before_s, ref = _best_of(params["repeats"], run_loop)
-    after_s, fast = _best_of(params["repeats"], run_block)
-    if ref != fast:
-        raise AssertionError("knn_block_growing diverged from the query/insert loop")
-    return {
-        "n_points": n,
-        "k": k,
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-    }
+
+def _knn_block(c):
+    """Vectorised: blocked queries against the growing structure."""
+    nn = BruteForceNN(3)
+    out = []
+    for lo in range(0, len(c.pts), 64):
+        out.extend(nn.knn_block_growing(c.ids[lo : lo + 64], c.pts[lo : lo + 64], c.k))
+    return out
+
+
+# query_single / query_batch / query_batch_process_shm / knn_scaling
 
 
 def _query_setup(params: dict):
     """A built roadmap plus a fixed batch of (start, goal) queries, shared
-    by the query-serving benchmarks."""
+    by the query-serving rows."""
     cs = _cspace()
-    prm = PRM(cs, k=6)
-    rmap = prm.build(params["query_vertices"], np.random.default_rng(_SEED)).roadmap
+    rmap = PRM(cs, k=6).build(params["query_vertices"], np.random.default_rng(_SEED)).roadmap
     rng = np.random.default_rng(_SEED + 1)
     lo, hi = cs.bounds.lo, cs.bounds.hi
-    queries = [
-        (rng.uniform(lo, hi), rng.uniform(lo, hi))
-        for _ in range(params["query_count"])
-    ]
-    return cs, rmap, queries
+    queries = [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(params["query_count"])]
+    return SimpleNamespace(cs=cs, rmap=rmap, queries=queries, n_vertices=params["query_vertices"])
 
 
 def _query_results_equal(ref, fast) -> bool:
@@ -354,112 +400,60 @@ def _query_results_equal(ref, fast) -> bool:
     return True
 
 
-def bench_query_single(params: dict) -> dict:
-    """Per-query serving: ``RoadmapQuery.solve`` (rebuilds the NN index and
-    mutates the roadmap per call) vs ``QueryEngine.solve`` over a frozen
-    snapshot; answers asserted path-exact."""
-    cs, rmap, queries = _query_setup(params)
+def _solve_each(c):
+    """Baseline: stateless per-query solve (rebuilds the NN index and
+    mutates the roadmap per call)."""
+    rq = RoadmapQuery(c.cs, k=8)
+    return [rq.solve(c.rmap, s, g) for s, g in c.queries]
 
-    def run_ref():
-        """Baseline: stateless per-query solve."""
-        rq = RoadmapQuery(cs, k=8)
-        return [rq.solve(rmap, s, g) for s, g in queries]
 
-    def run_engine():
-        """Amortised: one engine, per-query solve calls."""
-        eng = QueryEngine(cs, rmap, k=8)
-        return [eng.solve(s, g) for s, g in queries]
+def _engine_each(c):
+    """Amortised: one engine, per-query solve calls."""
+    eng = QueryEngine(c.cs, c.rmap, k=8)
+    return [eng.solve(s, g) for s, g in c.queries]
 
-    before_s, ref = _best_of(params["repeats"], run_ref)
-    after_s, fast = _best_of(params["repeats"], run_engine)
-    paths_equal = _query_results_equal(ref, fast)
-    if not paths_equal:
-        raise AssertionError("QueryEngine.solve diverged from RoadmapQuery.solve")
+
+def _describe_queries(c, ref, fast) -> dict:
     return {
-        "n_vertices": params["query_vertices"],
-        "n_queries": len(queries),
+        "n_vertices": c.n_vertices,
+        "n_queries": len(c.queries),
         "solved": sum(r is not None for r in ref),
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "paths_equal": paths_equal,
     }
 
 
-def bench_query_batch(params: dict) -> dict:
-    """Batched serving: a per-query ``RoadmapQuery.solve`` loop vs one
-    ``QueryEngine.solve_many`` call (vectorised validity, batched k-NN,
-    one local-planning batch); answers asserted path-exact."""
-    cs, rmap, queries = _query_setup(params)
-
-    def run_ref():
-        """Baseline: the naive serving loop."""
-        rq = RoadmapQuery(cs, k=8)
-        return [rq.solve(rmap, s, g) for s, g in queries]
-
-    def run_batch():
-        """Amortised + batched: one solve_many call."""
-        eng = QueryEngine(cs, rmap, k=8)
-        return eng.solve_many(queries).results
-
-    before_s, ref = _best_of(params["repeats"], run_ref)
-    after_s, fast = _best_of(params["repeats"], run_batch)
-    paths_equal = _query_results_equal(ref, fast)
-    if not paths_equal:
-        raise AssertionError("solve_many diverged from the per-query reference")
-    return {
-        "n_vertices": params["query_vertices"],
-        "n_queries": len(queries),
-        "solved": sum(r is not None for r in ref),
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "paths_equal": paths_equal,
-    }
+_PATHS_PARITY = {"paths_equal": lambda ref, fast, c: _query_results_equal(ref, fast)}
 
 
-def bench_knn_scaling(params: dict) -> dict:
-    """Brute-force vs kd-tree k-NN at serving scale (n large enough that
-    the tree's sublinear search wins); neighbour lists asserted identical,
-    canonical tie-break included."""
-    n = params["knn_scale_points"]
-    q = params["knn_scale_queries"]
-    k = 8
+def _shm_query_setup(params: dict):
+    c = _query_setup(params)
+    c.engine = QueryEngine(c.cs, c.rmap, k=8)
+    return c
+
+
+def _solve_shm(c, plane: str):
+    from ..spec import ExecutionPolicy
+
+    ex = ExecutionPolicy(mode="local", backend="process", workers=2, data_plane=plane)
+    return c.engine.solve_many(c.queries, execution=ex)
+
+
+def _knn_scaling_setup(params: dict):
+    n, q = params["knn_scale_points"], params["knn_scale_queries"]
     rng = np.random.default_rng(_SEED)
     pts = rng.uniform(0.0, 10.0, size=(n, 3))
     ids = np.arange(n, dtype=np.int64)
     queries = rng.uniform(0.0, 10.0, size=(q, 3))
-
     brute = BruteForceNN(3)
     brute.add_batch(ids, pts)
     t0 = time.perf_counter()
     kd = KDTreeNN(3)
     kd.add_batch(ids, pts)
-    build_s = time.perf_counter() - t0
+    return SimpleNamespace(
+        n=n, queries=queries, k=8, brute=brute, kd=kd, kd_build_s=time.perf_counter() - t0
+    )
 
-    def run_brute():
-        """Baseline: O(n) scan per query."""
-        return [brute.knn(p, k) for p in queries]
 
-    def run_kd():
-        """Sublinear: kd-tree descent with deferred far-subtree pruning."""
-        return [kd.knn(p, k) for p in queries]
-
-    before_s, ref = _best_of(params["repeats"], run_brute)
-    after_s, fast = _best_of(params["repeats"], run_kd)
-    neighbors_equal = ref == fast
-    if not neighbors_equal:
-        raise AssertionError("kd-tree neighbours diverged from brute force")
-    return {
-        "n_points": n,
-        "n_queries": q,
-        "k": k,
-        "kd_build_s": build_s,
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "neighbors_equal": neighbors_equal,
-    }
+# pool_scaling / pool_dispatch_overhead / prm_build_process_shm
 
 
 def _pool_task(task_id: int) -> float:
@@ -475,38 +469,31 @@ def _pool_task(task_id: int) -> float:
     return total
 
 
-def bench_pool_scaling(params: dict) -> dict:
-    """Thread-pool wall time at 1, 2, and 4 workers on identical tasks.
-
-    On a single-core machine the curve is flat — the interesting signal
-    there is that dispatch overhead stays negligible; ``cpu_count`` is
-    recorded so readers can interpret the numbers.
-    """
-    tasks = list(range(params["pool_tasks"]))
-    times = {}
-    last_pool = None
+def _pool_sweep(c):
+    """Thread-pool wall time at 1, 2, and 4 workers on identical tasks;
+    returns (times by worker count, the last pool result)."""
+    times, pool = {}, None
     for workers in (1, 2, 4):
-        wall, last_pool = _best_of(
-            params["repeats"],
-            lambda w=workers: run_tasks_parallel(_pool_task, tasks, workers=w, backend="thread"),
+        times[str(workers)], pool = _best_of(
+            c.repeats,
+            lambda w=workers: run_tasks_parallel(_pool_task, c.tasks, workers=w, backend="thread"),
         )
-        times[str(workers)] = wall
+    return times, pool
+
+
+def _describe_pool_scaling(c, ref, fast) -> dict:
+    times, pool = fast
     cpu_count = os.cpu_count()
     # A ~1.0 "speedup" on a single-core runner is noise, not a regression
     # signal — report null there so diffs against multi-core baselines
     # don't flag it.
     speedup = times["1"] / times["4"] if cpu_count is not None and cpu_count > 1 else None
-    d = last_pool.dispatch
     return {
-        "n_tasks": len(tasks),
+        "n_tasks": len(c.tasks),
         "cpu_count": cpu_count,
         "wall_s_by_workers": times,
         "speedup_4w": speedup,
-        "_meta_extra": {
-            "chunk_policy": d.chunk_policy,
-            "chunks_issued": d.chunks_issued,
-            "bytes_shipped": d.context_bytes + d.task_bytes,
-        },
+        "meta": _dispatch_meta(pool.dispatch),
     }
 
 
@@ -519,283 +506,138 @@ def _skew_task(big_ids: frozenset, big_s: float, tid: int) -> int:
     return tid * 3 + 1
 
 
-def bench_pool_dispatch_overhead(params: dict) -> dict:
-    """Chunk policies on a skewed tiny-task workload: a long run of
-    near-zero tasks with a few heavy ones at the tail.
-
-    Fixed chunking faces a dilemma this shape makes stark: big chunks
-    clump the heavy tail onto one worker (serialising it), chunksize=1
-    pays one pool submission per tiny task.  The "guided" policy starts
-    with large chunks and decays to singletons, so the tail is balanced
-    AND dispatch count stays low — at medium scale it must beat the best
-    fixed setting.  Every policy's result dict is asserted identical to
-    the chunksize=1 oracle.
-    """
-    n_tiny, n_big = params["dispatch_tiny"], params["dispatch_big"]
-    big_s = params["dispatch_big_s"]
-    n = n_tiny + n_big
-    tasks = list(range(n))
-    big_ids = frozenset(range(n_tiny, n))
+def _dispatch_setup(params: dict):
+    n_tiny, n_big, big_s = params["dispatch_tiny"], params["dispatch_big"], params["dispatch_big_s"]
+    tasks = list(range(n_tiny + n_big))
+    big_ids = frozenset(range(n_tiny, n_tiny + n_big))
     task = partial(_skew_task, big_ids, big_s)
     workers = 4
-    weights = {tid: big_s if tid in big_ids else 1e-4 for tid in tasks}
+    return SimpleNamespace(
+        tasks=tasks, n_big=n_big, big_s=big_s, task=task, workers=workers,
+        repeats=params["repeats"],
+        weights={tid: big_s if tid in big_ids else 1e-4 for tid in tasks},
+        oracle=run_tasks_parallel(task, tasks, workers=workers, backend="thread"),
+    )
 
-    oracle = run_tasks_parallel(task, tasks, workers=workers, backend="thread")
-    walls = {}
-    results_equal = True
-    guided_dispatch = None
+
+def _dispatch_sweep(c) -> dict:
+    """Best-of wall time and last pool result of every chunk policy."""
     sweep = [("fixed-1", 1, None), ("fixed-8", 8, None), ("fixed-32", 32, None),
              ("fixed-64", 64, None), ("guided", "guided", None),
-             ("weighted", "weighted", weights)]
-    for label, cs, tw in sweep:
-        wall, pool = _best_of(
-            params["repeats"],
-            lambda c=cs, w=tw: run_tasks_parallel(
-                task, tasks, workers=workers, backend="thread", chunksize=c,
-                task_weights=w,
-            ),
-        )
-        walls[label] = wall
-        results_equal = results_equal and pool.results == oracle.results
-        if label == "guided":
-            guided_dispatch = pool.dispatch
-    if not results_equal:
-        raise AssertionError("chunk policies diverged from the chunksize=1 oracle")
+             ("weighted", "weighted", c.weights)]
+    return {
+        label: _best_of(c.repeats, lambda cs=cs, tw=tw: run_tasks_parallel(
+            c.task, c.tasks, workers=c.workers, backend="thread", chunksize=cs,
+            task_weights=tw,
+        ))
+        for label, cs, tw in sweep
+    }
+
+
+def _describe_dispatch(c, ref, fast) -> dict:
+    walls = {label: wall for label, (wall, _pool) in fast.items()}
     fixed = {k: v for k, v in walls.items() if k.startswith("fixed")}
     best_fixed = min(fixed, key=fixed.get)
     return {
-        "n_tasks": n,
-        "n_big": n_big,
-        "big_task_s": big_s,
-        "workers": workers,
+        "n_tasks": len(c.tasks),
+        "n_big": c.n_big,
+        "big_task_s": c.big_s,
+        "workers": c.workers,
         "cpu_count": os.cpu_count(),
         "wall_s_by_policy": walls,
         "best_fixed": best_fixed,
         "best_fixed_s": fixed[best_fixed],
         "guided_s": walls["guided"],
         "guided_vs_best_fixed": fixed[best_fixed] / walls["guided"],
-        "results_equal": results_equal,
-        "_meta_extra": {
-            "chunk_policy": "guided",
-            "chunks_issued": guided_dispatch.chunks_issued,
-            "bytes_shipped": guided_dispatch.context_bytes + guided_dispatch.task_bytes,
-        },
+        "meta": _dispatch_meta(fast["guided"][1].dispatch),
     }
 
 
-def bench_prm_build_process_shm(params: dict) -> dict:
-    """Shared-memory vs pickled data plane for process-backend planning on
-    a large scene (a ``shelf_warehouse`` with 20k obstacles at medium),
-    under the bit-exact ``bvh`` kernel backend so context transfer — not
-    collision arithmetic — dominates the wall time.
-
-    Both planes run the identical plan; "pickle" serialises the whole
-    planning closure (environment included) and ships it to workers,
-    "shm" publishes the obstacle arrays once as a POSIX shared-memory
-    segment that workers map zero-copy and rebuild the closure from.
-    Merged edges, planner stats, and collision counters must be
-    bit-identical; at medium scale shm must be >= 1.5x faster.
-    """
-    from ..api import plan
+def _shm_setup(params: dict):
     from ..geometry.scenarios import shelf_warehouse
-    from ..spec import ExecutionPolicy, WorkloadSpec
 
     n_obs = params["shm_obstacles"]
-    env = shelf_warehouse(n_obstacles=n_obs, seed=_SEED)
+    return SimpleNamespace(
+        env=shelf_warehouse(n_obstacles=n_obs, seed=_SEED), n_obs=n_obs,
+        regions=params["shm_regions"], samples=params["shm_samples"],
+    )
 
-    def run(plane: str):
-        wl = WorkloadSpec(
-            environment=env, planner="prm", num_regions=params["shm_regions"],
-            samples_per_region=params["shm_samples"], seed=_SEED,
-        )
-        # The bvh backend keeps per-check compute near O(log n), so the
-        # row measures context transfer rather than collision arithmetic
-        # (both planes run the identical bit-exact backend).
-        ex = ExecutionPolicy(
-            mode="local", backend="process", workers=2, data_plane=plane,
-            kernel_backend="bvh",
-        )
-        return plan(wl, execution=ex)
 
-    # Interleave the planes rather than timing one block after the other:
-    # machine-state drift (CPU frequency, a forked parent's heap growing
-    # over a long suite run) then lands on both sides of the ratio, and
-    # min-of-N recovers each plane's fast-phase time.
-    repeats = min(params["repeats"], 5)
-    before_s = after_s = float("inf")
-    ref = fast = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        ref = run("pickle")
-        before_s = min(before_s, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        fast = run("shm")
-        after_s = min(after_s, time.perf_counter() - t0)
+def _plan_shm(c, plane: str):
+    """One plan() over the shelf warehouse through the given data plane.
 
-    edges_equal = sorted(ref.roadmap.edges()) == sorted(fast.roadmap.edges())
-    stats_equal = ref.planner_stats == fast.planner_stats
-    counters_equal = ref.local_counters == fast.local_counters
-    if not (edges_equal and stats_equal and counters_equal):
-        raise AssertionError("shm data plane diverged from the pickle plane")
+    The bvh backend keeps per-check compute near O(log n), so the row
+    measures context transfer rather than collision arithmetic (both
+    planes run the identical bit-exact backend)."""
+    from ..api import plan
+    from ..spec import ExecutionPolicy, WorkloadSpec
+
+    wl = WorkloadSpec(
+        environment=c.env, planner="prm", num_regions=c.regions,
+        samples_per_region=c.samples, seed=_SEED,
+    )
+    ex = ExecutionPolicy(
+        mode="local", backend="process", workers=2, data_plane=plane, kernel_backend="bvh",
+    )
+    return plan(wl, execution=ex)
+
+
+def _describe_shm(c, ref, fast) -> dict:
     d = fast.dispatch
     return {
-        "environment": "shelf-warehouse",
-        "n_obstacles": n_obs,
-        "n_regions": params["shm_regions"],
-        "samples_per_region": params["shm_samples"],
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "edges_equal": edges_equal,
-        "stats_equal": stats_equal,
-        "counters_equal": counters_equal,
+        "n_obstacles": c.n_obs,
+        "n_regions": c.regions,
+        "samples_per_region": c.samples,
         "pickle_context_bytes": ref.dispatch.context_bytes,
         "shm_context_bytes": d.context_bytes,
         "shm_segment_bytes": d.shm_bytes,
         "shm_attaches": d.shm_attaches,
-        "_meta_extra": {
-            "chunk_policy": d.chunk_policy,
-            "chunks_issued": d.chunks_issued,
-            "bytes_shipped": d.context_bytes + d.task_bytes,
-        },
+        "meta": _dispatch_meta(d),
     }
 
 
-def bench_query_batch_process_shm(params: dict) -> dict:
-    """Process-worker query serving through the shared-memory frozen
-    roadmap vs the pickled closure; answers asserted path-exact.  No
-    speedup floor — the interesting gate is parity plus the per-chunk
-    traffic collapse recorded in the meta."""
-    from ..spec import ExecutionPolicy
-
-    cs, rmap, queries = _query_setup(params)
-    eng = QueryEngine(cs, rmap, k=8)
-
-    def run(plane: str):
-        ex = ExecutionPolicy(
-            mode="local", backend="process", workers=2, data_plane=plane
-        )
-        return eng.solve_many(queries, execution=ex)
-
-    repeats = min(params["repeats"], 3)
-    before_s, ref = _best_of(repeats, lambda: run("pickle"))
-    after_s, fast = _best_of(repeats, lambda: run("shm"))
-    paths_equal = _query_results_equal(ref.results, fast.results)
-    if not paths_equal:
-        raise AssertionError("shm-plane query serving diverged from pickle plane")
-    d = fast.dispatch
-    return {
-        "n_vertices": params["query_vertices"],
-        "n_queries": len(queries),
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "paths_equal": paths_equal,
-        "shm_segment_bytes": d.shm_bytes,
-        "shm_attaches": d.shm_attaches,
-        "_meta_extra": {
-            "chunk_policy": d.chunk_policy,
-            "chunks_issued": d.chunks_issued,
-            "bytes_shipped": d.context_bytes + d.task_bytes,
-        },
-    }
+# kernel_collision / kernel_knn / kernel_local_plan / prm_build_fast32
 
 
-def bench_kernel_collision(params: dict) -> dict:
-    """float64 reference vs float32 blocked kernels on point and segment
-    collision queries over the mixed-30 scene.
-
-    Equivalence gate (statistical, not bit-exact): verdicts must be
-    identical on every *stable* query — one whose reference verdict
-    survives a ``_STABILITY_EPS`` perturbation of all obstacle faces.
-    Queries closer than eps to a decision boundary may flip under
-    float32 rounding, and the stable fraction is recorded so a sudden
-    drop (a backend misclassifying far from boundaries) is visible.
-    """
-    n_pts = params["kernel_points"]
-    n_seg = params["kernel_segments"]
+def _kernel_collision_setup(params: dict):
     env = environments.by_name(_KERNEL_ENV)
     data = env.kernel_data()
     ref = get_backend("reference")
-    fast = get_backend("fast32")
     rng = np.random.default_rng(_SEED)
     lo, hi = env.bounds.lo, env.bounds.hi
-    pts = rng.uniform(lo, hi, size=(n_pts, env.bounds.dim))
-    p = rng.uniform(lo, hi, size=(n_seg, env.bounds.dim))
+    pts = rng.uniform(lo, hi, size=(params["kernel_points"], env.bounds.dim))
+    p = rng.uniform(lo, hi, size=(params["kernel_segments"], env.bounds.dim))
     q = np.clip(p + rng.uniform(-2.0, 2.0, size=p.shape), lo, hi)
-
-    def run(backend):
-        """One timed pass of both kernel entry points."""
-        return backend.points_free(data, pts), backend.segments_free(data, p, q)
-
-    before_s, (rp, rs) = _best_of(params["repeats"], lambda: run(ref))
-    after_s, (fp, fs) = _best_of(params["repeats"], lambda: run(fast))
-
     plus, minus = data.inflated(_STABILITY_EPS), data.inflated(-_STABILITY_EPS)
-    stable_p = ref.points_free(plus, pts) == ref.points_free(minus, pts)
-    stable_s = ref.segments_free(plus, p, q) == ref.segments_free(minus, p, q)
-    verdicts_equal = bool(
-        np.array_equal(rp[stable_p], fp[stable_p])
-        and np.array_equal(rs[stable_s], fs[stable_s])
+    return SimpleNamespace(
+        data=data, pts=pts, p=p, q=q,
+        stable_p=ref.points_free(plus, pts) == ref.points_free(minus, pts),
+        stable_s=ref.segments_free(plus, p, q) == ref.segments_free(minus, p, q),
     )
-    if not verdicts_equal:
-        raise AssertionError("fast32 collision verdicts diverged on stable queries")
-    return {
-        "environment": _KERNEL_ENV,
-        "n_points": n_pts,
-        "n_segments": n_seg,
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "verdicts_equal_stable": verdicts_equal,
-        "stable_fraction": float((stable_p.sum() + stable_s.sum()) / (n_pts + n_seg)),
-        "_kernel_backend": "fast32",
-    }
 
 
-def bench_kernel_knn(params: dict) -> dict:
-    """float64 reference vs float32 tiled ``knn_block_min``.
+def _collide(c, backend: str):
+    """One pass of both collision kernel entry points."""
+    kernels = get_backend(backend)
+    return kernels.points_free(c.data, c.pts), kernels.segments_free(c.data, c.p, c.q)
 
-    Gates: distances within 1e-4 relative everywhere; neighbour ids
-    identical on every row whose reference k-th/(k+1)-th distance gap is
-    clear of float32 rounding (rows with a near-tie straddling the cut
-    may legitimately pick the other twin).
-    """
-    n = params["kernel_knn_stored"]
-    m = params["kernel_knn_queries"]
-    k = 8
+
+def _stable_verdicts_equal(ref, fast, c) -> bool:
+    return np.array_equal(ref[0][c.stable_p], fast[0][c.stable_p]) and np.array_equal(
+        ref[1][c.stable_s], fast[1][c.stable_s]
+    )
+
+
+def _kernel_knn_setup(params: dict):
     rng = np.random.default_rng(_SEED)
-    stored = rng.uniform(0.0, 10.0, size=(n, 3))
-    queries = rng.uniform(0.0, 10.0, size=(m, 3))
-    ref = get_backend("reference")
-    fast = get_backend("fast32")
-
-    before_s, (ri, rd) = _best_of(
-        params["repeats"], lambda: ref.knn_block_min(stored, queries, k)
-    )
-    after_s, (fi, fd) = _best_of(
-        params["repeats"], lambda: fast.knn_block_min(stored, queries, k)
-    )
-
-    dists_close = bool(np.allclose(rd, fd, rtol=1e-4, atol=1e-9))
-    _ri1, rd1 = ref.knn_block_min(stored, queries, k + 1)
-    gap = rd1[:, k] - rd1[:, k - 1]
-    tiefree = gap > 1e-4 * np.maximum(rd1[:, k], 1.0)
-    ids_equal = bool(np.array_equal(ri[tiefree], fi[tiefree]))
-    if not (dists_close and ids_equal):
-        raise AssertionError("fast32 knn diverged from reference beyond tolerance")
-    return {
-        "n_stored": n,
-        "n_queries": m,
-        "k": k,
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "dists_close": dists_close,
-        "ids_equal_tiefree": ids_equal,
-        "tiefree_fraction": float(tiefree.mean()),
-        "_kernel_backend": "fast32",
-    }
+    stored = rng.uniform(0.0, 10.0, size=(params["kernel_knn_stored"], 3))
+    queries = rng.uniform(0.0, 10.0, size=(params["kernel_knn_queries"], 3))
+    k = 8
+    # Rows whose reference k-th/(k+1)-th distance gap is clear of float32
+    # rounding; a near-tie straddling the cut may pick the other twin.
+    _ids, d1 = get_backend("reference").knn_block_min(stored, queries, k + 1)
+    tiefree = d1[:, k] - d1[:, k - 1] > 1e-4 * np.maximum(d1[:, k], 1.0)
+    return SimpleNamespace(stored=stored, queries=queries, k=k, tiefree=tiefree)
 
 
 def _perturbed_env(env, margin: float):
@@ -809,226 +651,96 @@ def _perturbed_env(env, margin: float):
     return type(env)(bounds, boxes)
 
 
-def bench_kernel_local_plan(params: dict) -> dict:
-    """``StraightLinePlanner.batch_pairs`` with the reference backend vs a
-    per-call ``kernels="fast32"`` override on the mixed-30 c-space.
-
-    Check counts are distance-derived in float64 on the planner side, so
-    they must be *identical* under any backend; segment verdicts follow
-    the stable-query contract (perturbed-Environment guard).
-    """
-    m = params["kernel_lp_pairs"]
+def _kernel_lp_setup(params: dict):
     env = environments.by_name(_KERNEL_ENV)
     cs = EuclideanCSpace(env)
     rng = np.random.default_rng(_SEED)
     lo, hi = cs.bounds.lo, cs.bounds.hi
-    starts = rng.uniform(lo, hi, size=(m, cs.dim))
-    ends = np.clip(starts + rng.uniform(-1.5, 1.5, size=(m, cs.dim)), lo, hi)
-    lp_ref = StraightLinePlanner(resolution=0.25)
-    lp_fast = StraightLinePlanner(resolution=0.25, kernels="fast32")
-
-    before_s, (ok0, ch0, len0) = _best_of(
-        params["repeats"], lambda: lp_ref.batch_pairs(cs, starts, ends)
-    )
-    after_s, (ok1, ch1, len1) = _best_of(
-        params["repeats"], lambda: lp_fast.batch_pairs(cs, starts, ends)
+    starts = rng.uniform(lo, hi, size=(params["kernel_lp_pairs"], cs.dim))
+    ends = np.clip(starts + rng.uniform(-1.5, 1.5, size=starts.shape), lo, hi)
+    lp = StraightLinePlanner(resolution=0.25)
+    okp, _, _ = lp.batch_pairs(EuclideanCSpace(_perturbed_env(env, _STABILITY_EPS)), starts, ends)
+    okm, _, _ = lp.batch_pairs(EuclideanCSpace(_perturbed_env(env, -_STABILITY_EPS)), starts, ends)
+    return SimpleNamespace(
+        cs=cs, starts=starts, ends=ends, lp=lp, stable=okp == okm,
+        lp_fast=StraightLinePlanner(resolution=0.25, kernels="fast32"),
     )
 
-    checks_equal = bool(ch0 == ch1 and np.array_equal(len0, len1))
-    csp = EuclideanCSpace(_perturbed_env(env, _STABILITY_EPS))
-    csm = EuclideanCSpace(_perturbed_env(env, -_STABILITY_EPS))
-    okp, _, _ = lp_ref.batch_pairs(csp, starts, ends)
-    okm, _, _ = lp_ref.batch_pairs(csm, starts, ends)
-    stable = okp == okm
-    verdicts_equal = bool(np.array_equal(ok0[stable], ok1[stable]))
-    if not (checks_equal and verdicts_equal):
-        raise AssertionError(
-            "fast32 local planning diverged: "
-            f"checks_equal={checks_equal} verdicts_equal={verdicts_equal}"
-        )
-    return {
-        "environment": _KERNEL_ENV,
-        "n_pairs": m,
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "checks_equal": checks_equal,
-        "verdicts_equal_stable": verdicts_equal,
-        "stable_fraction": float(stable.mean()),
-        "_kernel_backend": "fast32",
-    }
 
-
-def bench_prm_build_fast32(params: dict) -> dict:
-    """End-to-end PRM build on mixed-30 under the reference backend vs
-    ``fast32`` selected through ``cspace.set_kernel_backend``.
-
-    The roadmaps need not be bit-identical (float32 verdicts may differ
-    inside the eps boundary band), so the gate is behavioural: a frozen
-    batch of queries answered by the *reference* QueryEngine over each
-    roadmap must have the same success set and path lengths within 1e-4
-    relative.
-    """
-    n = params["kernel_prm_samples"]
-    nq = params["kernel_prm_queries"]
-
-    def build(backend):
-        """One timed PRM build under ``backend`` (None = reference default)."""
-        cs = EuclideanCSpace(environments.by_name(_KERNEL_ENV))
-        if backend is not None:
-            cs.set_kernel_backend(backend)
-        prm = PRM(cs, k=6, batched=True)
-        return prm.build(n, np.random.default_rng(_SEED)).roadmap
-
-    before_s, rmap_ref = _best_of(params["repeats"], lambda: build(None))
-    after_s, rmap_fast = _best_of(params["repeats"], lambda: build("fast32"))
-
+def _fast32_prm_setup(params: dict):
     cs = EuclideanCSpace(environments.by_name(_KERNEL_ENV))
     rng = np.random.default_rng(_SEED + 1)
     lo, hi = cs.bounds.lo, cs.bounds.hi
+    nq = params["kernel_prm_queries"]
     queries = [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(nq)]
-    res_ref = QueryEngine(cs, rmap_ref, k=8).solve_many(queries).results
-    res_fast = QueryEngine(cs, rmap_fast, k=8).solve_many(queries).results
-    success_equal = all((a is None) == (b is None) for a, b in zip(res_ref, res_fast))
-    lengths_close = success_equal and all(
-        a is None or abs(a.length - b.length) <= 1e-4 * max(a.length, 1.0)
-        for a, b in zip(res_ref, res_fast)
+    return SimpleNamespace(cs=cs, n=params["kernel_prm_samples"], queries=queries)
+
+
+def _fast32_prm_build(c, backend: "str | None"):
+    """One batched PRM build on mixed-30 under ``backend`` (None = the
+    reference default)."""
+    cs = EuclideanCSpace(environments.by_name(_KERNEL_ENV))
+    if backend is not None:
+        cs.set_kernel_backend(backend)
+    return PRM(cs, k=6, batched=True).build(c.n, np.random.default_rng(_SEED)).roadmap
+
+
+def _answers(c, rmap) -> list:
+    """The frozen query batch answered by the *reference* engine."""
+    return QueryEngine(c.cs, rmap, k=8).solve_many(c.queries).results
+
+
+def _same_successes(ref, fast, c) -> bool:
+    return all((a is None) == (b is None) for a, b in zip(_answers(c, ref), _answers(c, fast)))
+
+
+def _lengths_close(ref, fast, c) -> bool:
+    return all(
+        (a is None and b is None)
+        or (a is not None and b is not None
+            and abs(a.length - b.length) <= 1e-4 * max(a.length, 1.0))
+        for a, b in zip(_answers(c, ref), _answers(c, fast))
     )
-    if not (success_equal and lengths_close):
-        raise AssertionError(
-            "fast32 PRM build answered the frozen query batch differently: "
-            f"success_equal={success_equal} lengths_close={lengths_close}"
-        )
-    return {
-        "environment": _KERNEL_ENV,
-        "n_samples": n,
-        "n_queries": nq,
-        "solved": sum(r is not None for r in res_ref),
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "success_equal": success_equal,
-        "lengths_close": lengths_close,
-        "_kernel_backend": "fast32",
-    }
 
 
-def bench_bvh_collision_scaling(params: dict) -> dict:
-    """Brute-force reference vs BVH-culled collision kernels on procedural
-    warehouse scenes across obstacle counts.
+# bvh_collision_scaling / prm_build_bvh
 
-    Unlike the fast32 gates this one is **bit-exact**: the ``bvh`` backend
-    culls with a conservative tree but decides with the reference
-    expressions, so verdicts must be *equal*, not statistically close.
+
+def _bvh_setup(params: dict, n: int):
+    """A warehouse of ``n`` obstacles with its tree built (untimed).
     Query counts shrink as obstacle counts grow because the reference
-    side materialises ``(n_queries, n_obstacles, dim)`` temporaries.
-    """
+    side materialises ``(n_queries, n_obstacles, dim)`` temporaries."""
+    from ..geometry.scenarios import shelf_warehouse
+    from ..kernels.bvh_backend import _box_tree
+
+    n_pts = int(min(2000, max(400, 10_000_000 // n)))
+    n_seg = int(min(1000, max(64, 4_000_000 // n)))
+    env = shelf_warehouse(n, seed=_SEED)
+    data = env.kernel_data()
+    rng = np.random.default_rng(_SEED)
+    lo, hi = env.bounds.lo, env.bounds.hi
+    pts = rng.uniform(lo, hi, size=(n_pts, 3))
+    p = rng.uniform(lo, hi, size=(n_seg, 3))
+    q = np.clip(p + rng.uniform(-3.0, 3.0, size=p.shape), lo, hi)
+    t0 = time.perf_counter()
+    _box_tree(data)
+    return SimpleNamespace(
+        n=n, data=data, pts=pts, p=p, q=q, build_s=time.perf_counter() - t0
+    )
+
+
+def _bvh_prm_build(params: dict, backend: "str | None"):
+    """One batched PRM build on a dense warehouse under ``backend``."""
     from ..geometry.scenarios import shelf_warehouse
 
-    ref = get_backend("reference")
-    bvh = get_backend("bvh")
-    rows = {}
-    all_equal = True
-    for n in params["bvh_sizes"]:
-        n_pts = int(min(2000, max(400, 10_000_000 // n)))
-        n_seg = int(min(1000, max(64, 4_000_000 // n)))
-        env = shelf_warehouse(n, seed=_SEED)
-        data = env.kernel_data()
-        rng = np.random.default_rng(_SEED)
-        lo, hi = env.bounds.lo, env.bounds.hi
-        pts = rng.uniform(lo, hi, size=(n_pts, 3))
-        p = rng.uniform(lo, hi, size=(n_seg, 3))
-        q = np.clip(p + rng.uniform(-3.0, 3.0, size=p.shape), lo, hi)
-
-        t0 = time.perf_counter()
-        from ..kernels.bvh_backend import _box_tree
-
-        _box_tree(data)  # pay the build once, outside the timed region
-        build_s = time.perf_counter() - t0
-
-        repeats = params["repeats"] if n <= 1000 else min(params["repeats"], 2)
-        before_s, (rp, rs) = _best_of(
-            repeats, lambda: (ref.points_free(data, pts), ref.segments_free(data, p, q))
-        )
-        after_s, (bp, bs) = _best_of(
-            repeats, lambda: (bvh.points_free(data, pts), bvh.segments_free(data, p, q))
-        )
-        verdicts_equal = bool(np.array_equal(rp, bp) and np.array_equal(rs, bs))
-        if not verdicts_equal:
-            raise AssertionError(
-                f"bvh collision verdicts diverged from reference at n={n} "
-                "(the bvh contract is bit-exact, not statistical)"
-            )
-        all_equal = all_equal and verdicts_equal
-        rows[str(n)] = {
-            "n_obstacles": n,
-            "n_points": n_pts,
-            "n_segments": n_seg,
-            "build_s": build_s,
-            "before_s": before_s,
-            "after_s": after_s,
-            "speedup": before_s / after_s,
-            "verdicts_equal": verdicts_equal,
-        }
-    return {
-        "scenario": "warehouse",
-        "sizes": list(params["bvh_sizes"]),
-        "rows": rows,
-        "verdicts_equal": all_equal,
-        "_kernel_backend": "bvh",
-    }
+    cs = EuclideanCSpace(shelf_warehouse(params["bvh_prm_obstacles"], seed=_SEED))
+    if backend is not None:
+        cs.set_kernel_backend(backend)
+    res = PRM(cs, k=6, batched=True).build(params["bvh_prm_samples"], np.random.default_rng(_SEED))
+    return asdict(res.stats), _counters(cs), _weighted_edges(res.roadmap)
 
 
-def bench_prm_build_bvh(params: dict) -> dict:
-    """End-to-end PRM build on a dense warehouse scene: reference backend
-    vs ``bvh`` selected through ``cspace.set_kernel_backend``.
-
-    Where ``prm_build_fast32`` settles for behavioural equivalence
-    (float32 verdicts may flip in the eps band), this gate is the full
-    exact-parity surface of the batched-vs-sequential benches: stats,
-    counters, and edges must be identical, because the bvh backend is
-    bit-exact by construction.
-    """
-    from ..geometry.scenarios import shelf_warehouse
-
-    n_obs = params["bvh_prm_obstacles"]
-    n = params["bvh_prm_samples"]
-
-    def build(backend):
-        """One timed PRM build under ``backend`` (None = reference default)."""
-        cs = EuclideanCSpace(shelf_warehouse(n_obs, seed=_SEED))
-        if backend is not None:
-            cs.set_kernel_backend(backend)
-        prm = PRM(cs, k=6, batched=True)
-        res = prm.build(n, np.random.default_rng(_SEED))
-        counters = (cs.env.counters.point_checks, cs.env.counters.segment_checks)
-        edges = sorted((min(u, v), max(u, v), w) for u, v, w in res.roadmap.edges())
-        return asdict(res.stats), counters, edges
-
-    repeats = min(params["repeats"], 2)
-    before_s, ref = _best_of(repeats, lambda: build(None))
-    after_s, fast = _best_of(repeats, lambda: build("bvh"))
-    stats_equal = ref[0] == fast[0]
-    counters_equal = ref[1] == fast[1]
-    edges_equal = ref[2] == fast[2]
-    if not (stats_equal and counters_equal and edges_equal):
-        raise AssertionError(
-            "bvh PRM build diverged from the reference backend: "
-            f"stats_equal={stats_equal} counters_equal={counters_equal} "
-            f"edges_equal={edges_equal}"
-        )
-    return {
-        "environment": f"warehouse-{n_obs}",
-        "n_obstacles": n_obs,
-        "n_samples": n,
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "stats_equal": stats_equal,
-        "counters_equal": counters_equal,
-        "edges_equal": edges_equal,
-        "_kernel_backend": "bvh",
-    }
+# rrt_nn_scaling / rrt_build_incnn
 
 
 def _nn_stream(factory, pts: np.ndarray):
@@ -1045,54 +757,18 @@ def _nn_stream(factory, pts: np.ndarray):
     return out, nn.stats
 
 
-def bench_rrt_nn_scaling(params: dict) -> dict:
-    """Growing-tree nearest-neighbour streams: brute-force scan vs the
-    incremental kd-ladder (Bentley-Saxe logarithmic rebuild) across tree
-    sizes.
+def _stream_points(n: int) -> np.ndarray:
+    return np.random.default_rng(_SEED).uniform(-10.0, 10.0, size=(n, 3))
 
-    Answer parity is exact, not statistical: the ladder inherits the
-    canonical ``(distance, insertion order)`` tie-break, so the
-    neighbour streams must be identical element for element.  Each row
-    also records the distance-eval ledger — the brute scan's quadratic
-    count, the ladder's count, and the evals the work model no longer
-    charges — because virtual time, not wall time, is this repo's metric
-    of record."""
-    rows = {}
-    all_equal = True
-    for n in params["incnn_sizes"]:
-        rng = np.random.default_rng(_SEED)
-        pts = rng.uniform(-10.0, 10.0, size=(n, 3))
-        repeats = params["repeats"] if n < 20000 else min(params["repeats"], 2)
-        before_s, (ref, ref_stats) = _best_of(
-            repeats, lambda: _nn_stream(BruteForceNN, pts)
-        )
-        after_s, (fast, fast_stats) = _best_of(
-            repeats, lambda: _nn_stream(IncrementalNN, pts)
-        )
-        neighbors_equal = ref == fast
-        if not neighbors_equal:
-            raise AssertionError(
-                f"incremental NN stream diverged from brute force at n={n} "
-                "(the ladder contract is bit-exact, not approximate)"
-            )
-        all_equal = all_equal and neighbors_equal
-        rows[str(n)] = {
-            "n_points": n,
-            "before_s": before_s,
-            "after_s": after_s,
-            "speedup": before_s / after_s,
-            "neighbors_equal": neighbors_equal,
-            "nn_distance_evals_before": int(ref_stats.distance_evals),
-            "nn_distance_evals_after": int(fast_stats.distance_evals),
-            "evals_saved": int(fast_stats.evals_saved),
-            "rebuilds": int(fast_stats.rebuilds),
-            "buffer_hits": int(fast_stats.buffer_hits),
-        }
+
+def _describe_nn_sweep(pts, ref, fast) -> dict:
     return {
-        "sizes": list(params["incnn_sizes"]),
-        "rows": rows,
-        "neighbors_equal": all_equal,
-        "_meta_extra": {"nn_backend": "incremental"},
+        "n_points": len(pts),
+        "nn_distance_evals_before": int(ref[1].distance_evals),
+        "nn_distance_evals_after": int(fast[1].distance_evals),
+        "evals_saved": int(fast[1].evals_saved),
+        "rebuilds": int(fast[1].rebuilds),
+        "buffer_hits": int(fast[1].buffer_hits),
     }
 
 
@@ -1102,73 +778,29 @@ def bench_rrt_nn_scaling(params: dict) -> dict:
 _NN_BACKEND_STATS = ("nn_distance_evals", "nn_rebuilds", "nn_buffer_hits", "nn_evals_saved")
 
 
-def bench_rrt_build_incnn(params: dict) -> dict:
-    """Batched RRT growth with the brute-force NN oracle vs the
-    ``incremental`` kd-ladder backend, plus the NN phase in isolation at
-    floor scale.
+def _stats_equal_core(ref, fast, c) -> bool:
+    """Stats equal outside the backend-dependent NN fields."""
+    core = [{k: v for k, v in s[0].items() if k not in _NN_BACKEND_STATS} for s in (ref, fast)]
+    return core[0] == core[1]
 
-    The build gate is the strongest parity surface in the suite: edges
-    (with exact float64 weights), parent pointers, collision counters,
-    and every ``PlannerStats`` field outside the NN-backend group must
-    be *identical* — the ladder answers every query bit-exactly, so
-    swapping it in may not move a single sample.  Full-build wall time
-    is recorded but roughly backend-neutral at this scale in pure
-    python; the win the work model sees is the eval reduction
-    (``nn_distance_evals`` before/after, recorded in the row meta).  The
-    ``nn_phase_*`` fields time the growing query-then-insert stream
-    alone at n>=20k, where the medium-scale ``--check`` floor applies."""
-    n = params["incnn_rrt_nodes"]
-    stream_n = params["incnn_stream_points"]
 
-    def build(factory):
-        """One timed batched RRT growth under the given NN factory."""
-        cs = _cspace()
-        rrt = RRT(cs, step_size=0.6, goal_bias=0.05, batched=True, nn_factory=factory)
-        res = rrt.grow(np.full(cs.dim, -9.0), n, np.random.default_rng(_SEED))
-        counters = (cs.env.counters.point_checks, cs.env.counters.segment_checks)
-        edges = sorted((min(u, v), max(u, v), w) for u, v, w in res.tree.edges())
-        return asdict(res.stats), counters, edges, dict(res.parents)
-
-    def core(stats_dict):
-        """Stats without the backend-dependent NN fields."""
-        return {k: v for k, v in stats_dict.items() if k not in _NN_BACKEND_STATS}
-
-    repeats = min(params["repeats"], 2)
-    before_s, ref = _best_of(repeats, lambda: build(BruteForceNN))
-    after_s, fast = _best_of(repeats, lambda: build(IncrementalNN))
-    edges_equal = ref[2] == fast[2]
-    parents_equal = ref[3] == fast[3]
-    counters_equal = ref[1] == fast[1]
-    stats_equal_core = core(ref[0]) == core(fast[0])
-    if not (edges_equal and parents_equal and counters_equal and stats_equal_core):
-        raise AssertionError(
-            "incremental-NN RRT build diverged from the brute-force oracle: "
-            f"edges_equal={edges_equal} parents_equal={parents_equal} "
-            f"counters_equal={counters_equal} stats_equal_core={stats_equal_core}"
-        )
-
-    rng = np.random.default_rng(_SEED)
-    pts = rng.uniform(-10.0, 10.0, size=(stream_n, 3))
-    nn_before_s, (sref, _) = _best_of(repeats, lambda: _nn_stream(BruteForceNN, pts))
-    nn_after_s, (sfast, _) = _best_of(repeats, lambda: _nn_stream(IncrementalNN, pts))
-    if sref != sfast:
-        raise AssertionError("incremental NN phase diverged from brute force")
-
+def _describe_incnn(params, ref, fast) -> dict:
+    """The NN phase in isolation — the growing query-then-insert stream
+    alone, at n>=20k on medium, where the ``--check`` floor applies."""
+    pts = _stream_points(params["incnn_stream_points"])
+    before_s, after_s, sref, sfast = _time_pair(
+        min(params["repeats"], 2),
+        partial(_nn_stream, BruteForceNN, pts), partial(_nn_stream, IncrementalNN, pts),
+    )
+    if sref[0] != sfast[0]:
+        raise AssertionError("rrt_build_incnn: incremental NN phase diverged from brute force")
     return {
-        "n_nodes": n,
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "edges_equal": edges_equal,
-        "parents_equal": parents_equal,
-        "counters_equal": counters_equal,
-        "stats_equal_core": stats_equal_core,
-        "nn_phase_points": stream_n,
-        "nn_phase_before_s": nn_before_s,
-        "nn_phase_after_s": nn_after_s,
-        "nn_phase_speedup": nn_before_s / nn_after_s,
-        "_meta_extra": {
-            "nn_backend": "incremental",
+        "n_nodes": params["incnn_rrt_nodes"],
+        "nn_phase_points": len(pts),
+        "nn_phase_before_s": before_s,
+        "nn_phase_after_s": after_s,
+        "nn_phase_speedup": before_s / after_s,
+        "meta": {
             "nn_distance_evals_before": ref[0]["nn_distance_evals"],
             "nn_distance_evals_after": fast[0]["nn_distance_evals"],
             "nn_evals_saved": fast[0]["nn_evals_saved"],
@@ -1178,123 +810,336 @@ def bench_rrt_build_incnn(params: dict) -> dict:
     }
 
 
-_BENCHMARKS = {
-    "prm_build_default_path": bench_prm_build,
-    "rrt_build_default_path": bench_rrt_build,
-    "rrt_radial_workload": bench_rrt_radial_workload,
-    "batch_local_plan": bench_batch_local_plan,
-    "knn": bench_knn,
-    "query_single": bench_query_single,
-    "query_batch": bench_query_batch,
-    "knn_scaling": bench_knn_scaling,
-    "pool_scaling": bench_pool_scaling,
-    "kernel_collision": bench_kernel_collision,
-    "kernel_knn": bench_kernel_knn,
-    "kernel_local_plan": bench_kernel_local_plan,
-    "prm_build_fast32": bench_prm_build_fast32,
-    "bvh_collision_scaling": bench_bvh_collision_scaling,
-    "prm_build_bvh": bench_prm_build_bvh,
-    "rrt_nn_scaling": bench_rrt_nn_scaling,
-    "rrt_build_incnn": bench_rrt_build_incnn,
-    "pool_dispatch_overhead": bench_pool_dispatch_overhead,
-    "prm_build_process_shm": bench_prm_build_process_shm,
-    "query_batch_process_shm": bench_query_batch_process_shm,
-}
+# -- the table -------------------------------------------------------------------
 
-#: Keys every benchmark entry must carry for the file to be well-formed.
-_REQUIRED_FIELDS = {
-    "prm_build_default_path": ("before_s", "after_s", "speedup", "stats_equal", "counters_equal"),
-    "rrt_build_default_path": ("before_s", "after_s", "speedup", "stats_equal", "counters_equal"),
-    "rrt_radial_workload": ("before_s", "after_s", "speedup", "stats_equal", "counters_equal"),
-    "batch_local_plan": ("before_s", "after_s", "speedup"),
-    "knn": ("before_s", "after_s", "speedup"),
-    "query_single": ("before_s", "after_s", "speedup", "paths_equal"),
-    "query_batch": ("before_s", "after_s", "speedup", "paths_equal"),
-    "knn_scaling": ("before_s", "after_s", "speedup", "neighbors_equal"),
-    "pool_scaling": ("wall_s_by_workers", "speedup_4w", "cpu_count"),
-    "kernel_collision": ("before_s", "after_s", "speedup", "verdicts_equal_stable"),
-    "kernel_knn": ("before_s", "after_s", "speedup", "dists_close", "ids_equal_tiefree"),
-    "kernel_local_plan": ("before_s", "after_s", "speedup", "checks_equal", "verdicts_equal_stable"),
-    "prm_build_fast32": ("before_s", "after_s", "speedup", "success_equal", "lengths_close"),
-    "bvh_collision_scaling": ("sizes", "rows", "verdicts_equal"),
-    "prm_build_bvh": ("before_s", "after_s", "speedup", "stats_equal", "counters_equal", "edges_equal"),
-    "rrt_nn_scaling": ("sizes", "rows", "neighbors_equal"),
-    "rrt_build_incnn": (
-        "before_s", "after_s", "speedup", "edges_equal", "parents_equal",
-        "counters_equal", "stats_equal_core", "nn_phase_speedup",
+#: Every row of the suite, in run order.
+ROWS: "tuple[Row, ...]" = (
+    # Sequential vs batched PRM build, operation-count parity field for field.
+    Row(
+        "prm_build_default_path",
+        setup=lambda p: p["prm_samples"],
+        baseline=lambda n: _prm_build(n, batched=False),
+        candidate=lambda n: _prm_build(n, batched=True),
+        parity=_BUILD_PARITY,
+        describe=lambda n, ref, fast: {
+            "n_samples": n, "lp_calls": ref[0]["lp_calls"], "lp_checks": ref[0]["lp_checks"],
+        },
     ),
-    "pool_dispatch_overhead": (
-        "wall_s_by_policy", "best_fixed_s", "guided_s", "guided_vs_best_fixed",
-        "results_equal",
+    # Sequential vs batched (predict-validate-replay) RRT growth: stats,
+    # counters, exact edge weights and parent pointers.
+    Row(
+        "rrt_build_default_path",
+        setup=lambda p: p["rrt_nodes"],
+        baseline=lambda n: _rrt_grow(n, batched=False),
+        candidate=lambda n: _rrt_grow(n, batched=True),
+        parity={
+            "stats_equal": _same(0), "counters_equal": _same(1),
+            "edges_equal": lambda ref, fast, n: ref[2:] == fast[2:],
+        },
+        describe=lambda n, ref, fast: {
+            "n_nodes": n, "nn_distance_evals": ref[0]["nn_distance_evals"],
+            "lp_checks": ref[0]["lp_checks"],
+        },
     ),
-    "prm_build_process_shm": (
-        "before_s", "after_s", "speedup", "edges_equal", "stats_equal",
-        "counters_equal", "n_obstacles",
+    # Sequential vs batched radial RRT workload on a Fig. 10 environment.
+    Row(
+        "rrt_radial_workload",
+        setup=lambda p: p,
+        baseline=lambda p: _radial_workload(p, batched=False),
+        candidate=lambda p: _radial_workload(p, batched=True),
+        parity=_BUILD_PARITY,
+        info={"environment": "mixed-30"},
+        describe=lambda p, ref, fast: {
+            "n_regions": p["rrt_regions"], "nodes_per_region": p["rrt_nodes_per_region"],
+        },
     ),
-    "query_batch_process_shm": ("before_s", "after_s", "speedup", "paths_equal"),
-}
-
-#: Parity flags that must not be false in a well-formed kernel row.
-_KERNEL_PARITY_FLAGS = {
-    "kernel_collision": ("verdicts_equal_stable",),
-    "kernel_knn": ("dists_close", "ids_equal_tiefree"),
-    "kernel_local_plan": ("checks_equal", "verdicts_equal_stable"),
-    "prm_build_fast32": ("success_equal", "lengths_close"),
-    "bvh_collision_scaling": ("verdicts_equal",),
-    "prm_build_bvh": ("stats_equal", "counters_equal", "edges_equal"),
-    "rrt_nn_scaling": ("neighbors_equal",),
-    "rrt_build_incnn": ("edges_equal", "parents_equal", "counters_equal", "stats_equal_core"),
-    "pool_dispatch_overhead": ("results_equal",),
-    "prm_build_process_shm": ("edges_equal", "stats_equal", "counters_equal"),
-    "query_batch_process_shm": ("paths_equal",),
-}
-
-#: Medium-scale speedup floor for the fast32 microbenches: below this the
-#: float32 blocked layouts have regressed into pointlessness.
-_KERNEL_SPEEDUP_FLOOR = 1.8
-
-#: Medium-scale floor for the BVH at 10k warehouse obstacles — the
-#: acceptance bar from the scaling work: a tree that can't beat the
-#: brute-force scan 5x at 10^4 primitives isn't pulling its weight.
-_BVH_SPEEDUP_FLOOR = 5.0
-
-#: Medium-scale floor for the incremental kd-ladder on the growing
-#: query-then-insert stream at 20k nodes: an insertion-friendly index
-#: that can't halve the brute scan's wall time there isn't earning its
-#: rebuild machinery.
-_INCNN_SPEEDUP_FLOOR = 2.0
-
-#: Medium-scale floor for the shared-memory data plane on the 10k-obstacle
-#: warehouse: if mapping the scene zero-copy can't beat re-pickling it to
-#: every worker by 1.5x, the plane isn't paying for its machinery.
-_SHM_SPEEDUP_FLOOR = 1.5
-
-#: Obstacle-count floor for the prm_build_process_shm scene at medium.
-_SHM_OBSTACLE_FLOOR = 10_000
+    # Per-pair local planner calls vs one batch_pairs invocation.
+    Row(
+        "batch_local_plan",
+        setup=_lp_setup,
+        baseline=_lp_loop,
+        candidate=_lp_batch,
+        parity={
+            "verdicts_equal": lambda ref, fast, c: np.array_equal(ref[0], fast[0]),
+            "checks_equal": lambda ref, fast, c: ref[1] == fast[1],
+        },
+        record_parity=False,
+        describe=lambda c, ref, fast: {"n_pairs": len(c.starts), "checks": int(ref[1])},
+    ),
+    # Interleaved query/insert k-NN loop vs the growing-visibility block
+    # query the batched build uses.
+    Row(
+        "knn",
+        setup=_knn_setup,
+        baseline=_knn_loop,
+        candidate=_knn_block,
+        parity={"neighbors_equal": lambda ref, fast, c: ref == fast},
+        record_parity=False,
+        describe=lambda c, ref, fast: {"n_points": len(c.pts), "k": c.k},
+    ),
+    # RoadmapQuery.solve per query vs QueryEngine.solve over a frozen
+    # snapshot; answers path-exact.
+    Row(
+        "query_single",
+        setup=_query_setup,
+        baseline=_solve_each,
+        candidate=_engine_each,
+        parity=_PATHS_PARITY,
+        describe=_describe_queries,
+    ),
+    # The per-query serving loop vs one QueryEngine.solve_many call.
+    Row(
+        "query_batch",
+        setup=_query_setup,
+        baseline=_solve_each,
+        candidate=lambda c: QueryEngine(c.cs, c.rmap, k=8).solve_many(c.queries).results,
+        parity=_PATHS_PARITY,
+        describe=_describe_queries,
+    ),
+    # Brute-force vs kd-tree k-NN at serving scale, canonical tie-break
+    # included.
+    Row(
+        "knn_scaling",
+        setup=_knn_scaling_setup,
+        baseline=lambda c: [c.brute.knn(p, c.k) for p in c.queries],
+        candidate=lambda c: [c.kd.knn(p, c.k) for p in c.queries],
+        parity={"neighbors_equal": lambda ref, fast, c: ref == fast},
+        describe=lambda c, ref, fast: {
+            "n_points": c.n, "n_queries": len(c.queries), "k": c.k, "kd_build_s": c.kd_build_s,
+        },
+    ),
+    # Thread-pool wall time at 1, 2 and 4 workers.  On a single-core
+    # machine the curve is flat; cpu_count is recorded to read it.
+    Row(
+        "pool_scaling",
+        setup=lambda p: SimpleNamespace(tasks=list(range(p["pool_tasks"])), repeats=p["repeats"]),
+        candidate=_pool_sweep,
+        describe=_describe_pool_scaling,
+        fields=("wall_s_by_workers", "speedup_4w", "cpu_count"),
+        timed=(),
+    ),
+    # float64 reference vs float32 blocked collision kernels.  Statistical
+    # gate: verdicts identical on every query whose reference verdict
+    # survives a _STABILITY_EPS perturbation of all obstacle faces.
+    Row(
+        "kernel_collision",
+        setup=_kernel_collision_setup,
+        baseline=lambda c: _collide(c, "reference"),
+        candidate=lambda c: _collide(c, "fast32"),
+        parity={"verdicts_equal_stable": _stable_verdicts_equal},
+        info={"environment": _KERNEL_ENV},
+        meta={"kernel_backend": "fast32"},
+        describe=lambda c, ref, fast: {
+            "n_points": len(c.pts),
+            "n_segments": len(c.p),
+            "stable_fraction": float(
+                (c.stable_p.sum() + c.stable_s.sum()) / (len(c.pts) + len(c.p))
+            ),
+        },
+        floor=Floor(("speedup",), 1.8),
+    ),
+    # float64 reference vs float32 tiled knn_block_min: distances within
+    # 1e-4 relative everywhere, ids identical on tie-free rows.
+    Row(
+        "kernel_knn",
+        setup=_kernel_knn_setup,
+        baseline=lambda c: get_backend("reference").knn_block_min(c.stored, c.queries, c.k),
+        candidate=lambda c: get_backend("fast32").knn_block_min(c.stored, c.queries, c.k),
+        parity={
+            "dists_close": lambda ref, fast, c: np.allclose(ref[1], fast[1], rtol=1e-4, atol=1e-9),
+            "ids_equal_tiefree": lambda ref, fast, c: np.array_equal(
+                ref[0][c.tiefree], fast[0][c.tiefree]
+            ),
+        },
+        meta={"kernel_backend": "fast32"},
+        describe=lambda c, ref, fast: {
+            "n_stored": len(c.stored), "n_queries": len(c.queries), "k": c.k,
+            "tiefree_fraction": float(c.tiefree.mean()),
+        },
+        floor=Floor(("speedup",), 1.8),
+    ),
+    # batch_pairs under the reference backend vs a per-call fast32
+    # override: check counts identical, verdicts equal on stable pairs.
+    Row(
+        "kernel_local_plan",
+        setup=_kernel_lp_setup,
+        baseline=lambda c: c.lp.batch_pairs(c.cs, c.starts, c.ends),
+        candidate=lambda c: c.lp_fast.batch_pairs(c.cs, c.starts, c.ends),
+        parity={
+            "checks_equal": lambda ref, fast, c: ref[1] == fast[1]
+            and np.array_equal(ref[2], fast[2]),
+            "verdicts_equal_stable": lambda ref, fast, c: np.array_equal(
+                ref[0][c.stable], fast[0][c.stable]
+            ),
+        },
+        info={"environment": _KERNEL_ENV},
+        meta={"kernel_backend": "fast32"},
+        describe=lambda c, ref, fast: {
+            "n_pairs": len(c.starts), "stable_fraction": float(c.stable.mean()),
+        },
+    ),
+    # PRM build under reference vs fast32.  Behavioural gate: a frozen
+    # query batch answered by the reference engine over each roadmap has
+    # the same success set and path lengths within 1e-4 relative.
+    Row(
+        "prm_build_fast32",
+        setup=_fast32_prm_setup,
+        baseline=lambda c: _fast32_prm_build(c, None),
+        candidate=lambda c: _fast32_prm_build(c, "fast32"),
+        parity={"success_equal": _same_successes, "lengths_close": _lengths_close},
+        info={"environment": _KERNEL_ENV},
+        meta={"kernel_backend": "fast32"},
+        describe=lambda c, ref, fast: {
+            "n_samples": c.n, "n_queries": len(c.queries),
+            "solved": sum(r is not None for r in _answers(c, ref)),
+        },
+    ),
+    # Brute-force reference vs BVH-culled collision kernels on warehouse
+    # scenes across obstacle counts; bit-exact, not statistical.
+    Row(
+        "bvh_collision_scaling",
+        setup=_bvh_setup,
+        baseline=lambda c: _collide(c, "reference"),
+        candidate=lambda c: _collide(c, "bvh"),
+        parity={"verdicts_equal": lambda ref, fast, c: np.array_equal(ref[0], fast[0])
+                and np.array_equal(ref[1], fast[1])},
+        sweep="bvh_sizes",
+        repeats=lambda r, n: r if n <= 1000 else min(r, 2),
+        timed=_TIMINGS + ("build_s",),
+        info={"scenario": "warehouse"},
+        meta={"kernel_backend": "bvh"},
+        describe=lambda c, ref, fast: {
+            "n_obstacles": c.n, "n_points": len(c.pts), "n_segments": len(c.p),
+            "build_s": c.build_s,
+        },
+        # A tree that can't beat the brute-force scan 5x at 10^4
+        # primitives isn't pulling its weight.
+        floor=Floor(("rows", "10000", "speedup"), 5.0),
+    ),
+    # PRM build on a dense warehouse under reference vs bvh: the full
+    # exact-parity surface, because the bvh backend is bit-exact.
+    Row(
+        "prm_build_bvh",
+        setup=lambda p: p,
+        baseline=lambda p: _bvh_prm_build(p, None),
+        candidate=lambda p: _bvh_prm_build(p, "bvh"),
+        parity=_BUILD_PARITY,
+        repeats=_capped(2),
+        meta={"kernel_backend": "bvh"},
+        describe=lambda p, ref, fast: {
+            "environment": f"warehouse-{p['bvh_prm_obstacles']}",
+            "n_obstacles": p["bvh_prm_obstacles"], "n_samples": p["bvh_prm_samples"],
+        },
+    ),
+    # Growing-tree NN streams: brute-force scan vs the incremental
+    # kd-ladder across tree sizes; the neighbour streams must be
+    # identical element for element, and each size records the
+    # distance-eval ledger the work model charges.
+    Row(
+        "rrt_nn_scaling",
+        setup=lambda p, n: _stream_points(n),
+        baseline=partial(_nn_stream, BruteForceNN),
+        candidate=partial(_nn_stream, IncrementalNN),
+        parity={"neighbors_equal": lambda ref, fast, pts: ref[0] == fast[0]},
+        sweep="incnn_sizes",
+        repeats=lambda r, n: r if n < 20000 else min(r, 2),
+        meta={"nn_backend": "incremental"},
+        describe=_describe_nn_sweep,
+        # An insertion-friendly index that can't halve the brute scan's
+        # wall time at 20k nodes isn't earning its rebuild machinery.
+        floor=Floor(("rows", "20000", "speedup"), 2.0),
+    ),
+    # Batched RRT growth with the brute-force NN oracle vs the incremental
+    # ladder: every PlannerStats field outside the NN-backend group must
+    # be identical.  Full-build wall time is roughly backend-neutral in
+    # pure python; the NN phase alone carries the floor.
+    Row(
+        "rrt_build_incnn",
+        setup=lambda p: p,
+        baseline=lambda p: _rrt_grow(p["incnn_rrt_nodes"], nn_factory=BruteForceNN),
+        candidate=lambda p: _rrt_grow(p["incnn_rrt_nodes"], nn_factory=IncrementalNN),
+        parity={
+            "edges_equal": _same(2), "parents_equal": _same(3),
+            "counters_equal": _same(1), "stats_equal_core": _stats_equal_core,
+        },
+        repeats=_capped(2),
+        meta={"nn_backend": "incremental"},
+        describe=_describe_incnn,
+        fields=("nn_phase_speedup",),
+        floor=Floor(("nn_phase_speedup",), 2.0, guard=("nn_phase_points", 20000)),
+    ),
+    # Chunk policies on a skewed tiny-task workload: fixed chunking either
+    # clumps the heavy tail onto one worker or pays one submission per
+    # tiny task; "guided" decays from large chunks to singletons and must
+    # beat the best fixed setting.  Every policy's results equal the
+    # chunksize=1 oracle.
+    Row(
+        "pool_dispatch_overhead",
+        setup=_dispatch_setup,
+        candidate=_dispatch_sweep,
+        parity={"results_equal": lambda ref, fast, c: all(
+            pool.results == c.oracle.results for _wall, pool in fast.values()
+        )},
+        describe=_describe_dispatch,
+        fields=("wall_s_by_policy", "best_fixed_s", "guided_s", "guided_vs_best_fixed"),
+        timed=(),
+        floor=Floor(("guided_vs_best_fixed",), 1.0, strict=True),
+    ),
+    # Pickled vs shared-memory data plane for process-backend planning on
+    # a shelf warehouse: "pickle" ships the whole planning closure to the
+    # workers, "shm" maps the obstacle arrays zero-copy.  Merged edges,
+    # stats and counters bit-identical.
+    Row(
+        "prm_build_process_shm",
+        setup=_shm_setup,
+        baseline=lambda c: _plan_shm(c, "pickle"),
+        candidate=lambda c: _plan_shm(c, "shm"),
+        parity={
+            "edges_equal": lambda ref, fast, c: sorted(ref.roadmap.edges())
+            == sorted(fast.roadmap.edges()),
+            "stats_equal": lambda ref, fast, c: ref.planner_stats == fast.planner_stats,
+            "counters_equal": lambda ref, fast, c: ref.local_counters == fast.local_counters,
+        },
+        repeats=_capped(5),
+        interleave=True,
+        info={"environment": "shelf-warehouse"},
+        describe=_describe_shm,
+        fields=("n_obstacles",),
+        # If mapping the scene zero-copy can't beat re-pickling it to
+        # every worker by 1.5x, the plane isn't paying for its machinery.
+        floor=Floor(("speedup",), 1.5, guard=("n_obstacles", 10_000)),
+    ),
+    # Process-worker query serving through the shared-memory frozen
+    # roadmap vs the pickled closure; answers path-exact, no floor.
+    Row(
+        "query_batch_process_shm",
+        setup=_shm_query_setup,
+        baseline=lambda c: _solve_shm(c, "pickle"),
+        candidate=lambda c: _solve_shm(c, "shm"),
+        parity={"paths_equal": lambda ref, fast, c: _query_results_equal(
+            ref.results, fast.results
+        )},
+        repeats=_capped(3),
+        describe=lambda c, ref, fast: {
+            "n_vertices": c.n_vertices, "n_queries": len(c.queries),
+            "shm_segment_bytes": fast.dispatch.shm_bytes,
+            "shm_attaches": fast.dispatch.shm_attaches,
+            "meta": _dispatch_meta(fast.dispatch),
+        },
+    ),
+)
 
 
 def run_suite(scale: str = "medium") -> dict:
-    """Run every benchmark at ``scale`` and return the result payload."""
+    """Run every row at ``scale`` and return the result payload."""
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {sorted(SCALES)}, got {scale!r}")
     params = SCALES[scale]
     benchmarks = {}
-    for name, fn in _BENCHMARKS.items():
+    for row in ROWS:
         t0 = time.perf_counter()
-        row = fn(params)
-        # Every row records the runtime it was measured under: the active
-        # kernel backend (the fast side for kernel comparisons, the
-        # reference default everywhere else) and the numpy/numba versions.
-        # Benchmarks can merge extra provenance (e.g. the NN backend and
-        # its distance-eval ledger) via the "_meta_extra" key.
-        row["meta"] = {
-            "kernel_backend": row.pop("_kernel_backend", "reference"),
-            "numpy": np.__version__,
-            "numba": _numba_version(),
-            **row.pop("_meta_extra", {}),
-        }
-        benchmarks[name] = row
-        print(f"[perf] {name}: {time.perf_counter() - t0:.1f}s", file=sys.stderr)
+        benchmarks[row.name] = _run_row(row, params)
+        print(f"[perf] {row.name}: {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     return {
         "suite": "repro-perf",
         "scale": scale,
@@ -1302,9 +1147,51 @@ def run_suite(scale: str = "medium") -> dict:
         "seed": _SEED,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numba": _numba_version(),
         "benchmarks": benchmarks,
     }
+
+
+# -- validation --------------------------------------------------------------------
+
+
+def _positive(value) -> bool:
+    return isinstance(value, (int, float)) and value > 0
+
+
+def _at(entry, path: "tuple[str, ...]"):
+    """The value at ``path`` in a nested row dict, or None."""
+    for key in path:
+        entry = entry.get(key) if isinstance(entry, dict) else None
+    return entry
+
+
+def _entry_problems(label: str, entry: dict, required, timed, flags) -> "list[str]":
+    """Missing fields, non-positive timings and false flags of one entry."""
+    problems = [f"{label} missing field {f!r}" for f in required if f not in entry]
+    problems += [
+        f"{label} field {f!r} is not a positive number"
+        for f in timed if f in entry and not _positive(entry[f])
+    ]
+    problems += [f"{label} reports {f}=false" for f in flags if entry.get(f) is False]
+    return problems
+
+
+def _floor_problem(row: Row, entry: dict) -> "str | None":
+    """The medium-scale floor violation of ``entry``, if any."""
+    floor = row.floor
+    value = _at(entry, floor.path)
+    where = ".".join(floor.path)
+    if not isinstance(value, (int, float)):
+        return f"{row.name} is missing {where}"
+    if floor.guard is not None:
+        key, minimum = floor.guard
+        scale = entry.get(key)
+        if not (isinstance(scale, int) and scale >= minimum):
+            return f"{row.name} {key}={scale} is below the {minimum} floor scale"
+    if value < floor.threshold or (floor.strict and value == floor.threshold):
+        cmp = ">" if floor.strict else ">="
+        return f"{row.name} {where} is {value:.2f}, the floor is {cmp}{floor.threshold}"
+    return None
 
 
 def validate(payload: object) -> "list[str]":
@@ -1320,136 +1207,27 @@ def validate(payload: object) -> "list[str]":
     benches = payload.get("benchmarks")
     if not isinstance(benches, dict):
         return problems + ["'benchmarks' missing or not an object"]
-    for name, fields in _REQUIRED_FIELDS.items():
-        entry = benches.get(name)
+    for row in ROWS:
+        entry = benches.get(row.name)
         if not isinstance(entry, dict):
-            problems.append(f"benchmark {name!r} missing")
+            problems.append(f"benchmark {row.name!r} missing")
             continue
-        for f in fields:
-            if f not in entry:
-                problems.append(f"benchmark {name!r} missing field {f!r}")
-        for f in ("before_s", "after_s", "speedup"):
-            if f in entry and not (isinstance(entry[f], (int, float)) and entry[f] > 0):
-                problems.append(f"benchmark {name!r} field {f!r} is not a positive number")
-    for bench_name in ("prm_build_default_path", "rrt_build_default_path", "rrt_radial_workload"):
-        parity = benches.get(bench_name, {})
-        for f in ("stats_equal", "counters_equal", "edges_equal"):
-            if parity.get(f) is False:
-                problems.append(f"{bench_name} reports {f}=false")
-    for bench_name in ("query_single", "query_batch"):
-        if benches.get(bench_name, {}).get("paths_equal") is False:
-            problems.append(f"{bench_name} reports paths_equal=false")
-    if benches.get("knn_scaling", {}).get("neighbors_equal") is False:
-        problems.append("knn_scaling reports neighbors_equal=false")
-    for bench_name, flags in _KERNEL_PARITY_FLAGS.items():
-        entry = benches.get(bench_name, {})
-        for f in flags:
-            if entry.get(f) is False:
-                problems.append(f"{bench_name} reports {f}=false")
-    for name in _REQUIRED_FIELDS:
-        entry = benches.get(name)
-        if isinstance(entry, dict):
-            meta = entry.get("meta")
-            if not isinstance(meta, dict) or not {"kernel_backend", "numpy", "numba"} <= set(meta):
-                problems.append(
-                    f"benchmark {name!r} missing runtime meta (kernel_backend/numpy/numba)"
-                )
-    scaling = benches.get("bvh_collision_scaling", {})
-    rows = scaling.get("rows")
-    if isinstance(rows, dict):
-        for size, row in rows.items():
-            if not isinstance(row, dict):
-                problems.append(f"bvh_collision_scaling row {size!r} is not an object")
+        timed = () if row.sweep else row.timed
+        problems += _entry_problems(row.name, entry, row.required, timed, row.flags)
+        meta = entry.get("meta")
+        if not isinstance(meta, dict) or not {"kernel_backend", "numpy"} <= set(meta):
+            problems.append(f"{row.name} missing runtime meta (kernel_backend/numpy)")
+        sizes = entry.get("rows") if row.sweep else None
+        for size, sub in (sizes.items() if isinstance(sizes, dict) else ()):
+            label = f"{row.name} row {size!r}"
+            if not isinstance(sub, dict):
+                problems.append(f"{label} is not an object")
                 continue
-            for f in ("before_s", "after_s", "speedup", "build_s"):
-                if not (isinstance(row.get(f), (int, float)) and row[f] > 0):
-                    problems.append(
-                        f"bvh_collision_scaling row {size!r} field {f!r} "
-                        "is not a positive number"
-                    )
-            if row.get("verdicts_equal") is False:
-                problems.append(
-                    f"bvh_collision_scaling row {size!r} reports verdicts_equal=false"
-                )
-    nn_rows = benches.get("rrt_nn_scaling", {}).get("rows")
-    if isinstance(nn_rows, dict):
-        for size, row in nn_rows.items():
-            if not isinstance(row, dict):
-                problems.append(f"rrt_nn_scaling row {size!r} is not an object")
-                continue
-            for f in ("before_s", "after_s", "speedup"):
-                if not (isinstance(row.get(f), (int, float)) and row[f] > 0):
-                    problems.append(
-                        f"rrt_nn_scaling row {size!r} field {f!r} "
-                        "is not a positive number"
-                    )
-            if row.get("neighbors_equal") is False:
-                problems.append(
-                    f"rrt_nn_scaling row {size!r} reports neighbors_equal=false"
-                )
-    if payload.get("scale") == "medium":
-        for bench_name in ("kernel_collision", "kernel_knn"):
-            sp = benches.get(bench_name, {}).get("speedup")
-            if isinstance(sp, (int, float)) and sp < _KERNEL_SPEEDUP_FLOOR:
-                problems.append(
-                    f"{bench_name} speedup {sp:.2f}x is below the "
-                    f"{_KERNEL_SPEEDUP_FLOOR}x fast32 floor"
-                )
-        sp = rows.get("10000", {}).get("speedup") if isinstance(rows, dict) else None
-        if not isinstance(sp, (int, float)):
-            problems.append("bvh_collision_scaling is missing the 10000-obstacle row")
-        elif sp < _BVH_SPEEDUP_FLOOR:
-            problems.append(
-                f"bvh_collision_scaling speedup {sp:.2f}x at 10k obstacles is "
-                f"below the {_BVH_SPEEDUP_FLOOR}x bvh floor"
-            )
-        sp = nn_rows.get("20000", {}).get("speedup") if isinstance(nn_rows, dict) else None
-        if not isinstance(sp, (int, float)):
-            problems.append("rrt_nn_scaling is missing the 20000-point row")
-        elif sp < _INCNN_SPEEDUP_FLOOR:
-            problems.append(
-                f"rrt_nn_scaling speedup {sp:.2f}x at 20k points is below "
-                f"the {_INCNN_SPEEDUP_FLOOR}x incremental-NN floor"
-            )
-        incnn = benches.get("rrt_build_incnn", {})
-        sp = incnn.get("nn_phase_speedup")
-        npts = incnn.get("nn_phase_points")
-        if not isinstance(sp, (int, float)):
-            problems.append("rrt_build_incnn is missing nn_phase_speedup")
-        elif not (isinstance(npts, int) and npts >= 20000):
-            problems.append(
-                "rrt_build_incnn nn_phase_points is below the 20k floor scale"
-            )
-        elif sp < _INCNN_SPEEDUP_FLOOR:
-            problems.append(
-                f"rrt_build_incnn NN-phase speedup {sp:.2f}x at n={npts} is "
-                f"below the {_INCNN_SPEEDUP_FLOOR}x incremental-NN floor"
-            )
-        shm_row = benches.get("prm_build_process_shm", {})
-        sp = shm_row.get("speedup")
-        n_obs = shm_row.get("n_obstacles")
-        if not isinstance(sp, (int, float)):
-            problems.append("prm_build_process_shm is missing speedup")
-        elif not (isinstance(n_obs, int) and n_obs >= _SHM_OBSTACLE_FLOOR):
-            problems.append(
-                f"prm_build_process_shm scene has {n_obs} obstacles, below "
-                f"the {_SHM_OBSTACLE_FLOOR} floor scale"
-            )
-        elif sp < _SHM_SPEEDUP_FLOOR:
-            problems.append(
-                f"prm_build_process_shm speedup {sp:.2f}x is below the "
-                f"{_SHM_SPEEDUP_FLOOR}x shared-memory data-plane floor"
-            )
-        disp = benches.get("pool_dispatch_overhead", {})
-        ratio = disp.get("guided_vs_best_fixed")
-        if not isinstance(ratio, (int, float)):
-            problems.append("pool_dispatch_overhead is missing guided_vs_best_fixed")
-        elif ratio <= 1.0:
-            problems.append(
-                f"pool_dispatch_overhead: guided is {ratio:.2f}x the best "
-                f"fixed chunksize ({disp.get('best_fixed')}) — adaptive "
-                "chunking must win on the skewed workload"
-            )
+            problems += _entry_problems(label, sub, row.timed, row.timed, row.flags)
+        if row.floor is not None and payload.get("scale") == "medium":
+            problem = _floor_problem(row, entry)
+            if problem is not None:
+                problems.append(problem)
     # Serve rows are optional extras merged in by `python -m repro.bench
     # serve`; when present they must be well-formed and parity-clean.
     from .serve import validate_serve_rows
@@ -1458,8 +1236,43 @@ def validate(payload: object) -> "list[str]":
     return problems
 
 
+# -- output ------------------------------------------------------------------------
+
+
+def write_merged(path: str, scale: str, rows: dict, header: dict) -> None:
+    """Write ``rows`` and the ``header`` fields into the payload at
+    ``path``, keeping every row already there that ``rows`` does not
+    replace, so ``perf`` and ``serve`` share one file.  A missing or
+    malformed file starts a fresh payload at ``scale``."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or not isinstance(payload.get("benchmarks"), dict):
+            raise ValueError("not a perf payload")
+    except (OSError, json.JSONDecodeError, ValueError):
+        payload = {"suite": "repro-perf", "scale": scale, "benchmarks": {}}
+    payload.update(header)
+    payload["benchmarks"].update(rows)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _headline(row: Row, entry: dict) -> "str | None":
+    """The number the CLI summary shows for a row: every sweep size's
+    speedup, the floored value, or the speedup."""
+    if row.sweep:
+        return ", ".join(f"{n}: {r['speedup']:.1f}x" for n, r in entry["rows"].items())
+    value = _at(entry, row.floor.path if row.floor else ("speedup",))
+    return None if value is None else f"{value:.2f}x"
+
+
 def main(argv: "list[str]") -> int:
-    """CLI entry point: run the suite or ``--check`` an existing file."""
+    """CLI entry point: run the suite or ``--check`` an existing file.
+
+    Results are **merged** into ``--output``, so the ``serve`` rows of a
+    shared ``BENCH_perf.json`` survive a perf run.
+    """
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench perf", description=__doc__.splitlines()[0]
     )
@@ -1488,34 +1301,13 @@ def main(argv: "list[str]") -> int:
         return 0
 
     payload = run_suite(args.scale)
-    with open(args.output, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    prm = payload["benchmarks"]["prm_build_default_path"]
-    rrt = payload["benchmarks"]["rrt_build_default_path"]
-    qb = payload["benchmarks"]["query_batch"]
-    kc = payload["benchmarks"]["kernel_collision"]
-    kn = payload["benchmarks"]["kernel_knn"]
-    incnn = payload["benchmarks"]["rrt_build_incnn"]
-    bvh_rows = payload["benchmarks"]["bvh_collision_scaling"]["rows"]
-    bvh_scaling = ", ".join(
-        f"{int(s)//1000}k: {bvh_rows[s]['speedup']:.1f}x"
-        for s in sorted(bvh_rows, key=int)
-        if int(s) >= 1000
-    ) or ", ".join(
-        f"{s}: {bvh_rows[s]['speedup']:.1f}x" for s in sorted(bvh_rows, key=int)
-    )
+    benches = payload.pop("benchmarks")
+    write_merged(args.output, args.scale, benches, payload)
+    headlines = ((row.name, _headline(row, benches[row.name])) for row in ROWS)
     print(
-        f"wrote {args.output}: prm build {prm['speedup']:.2f}x "
-        f"({prm['before_s']*1e3:.0f}ms -> {prm['after_s']*1e3:.0f}ms at "
-        f"n={prm['n_samples']}), rrt build {rrt['speedup']:.2f}x "
-        f"({rrt['before_s']*1e3:.0f}ms -> {rrt['after_s']*1e3:.0f}ms at "
-        f"n={rrt['n_nodes']}), query batch {qb['speedup']:.2f}x "
-        f"({qb['n_queries']} queries on {qb['n_vertices']} vertices), "
-        f"fast32 kernels {kc['speedup']:.2f}x collision / "
-        f"{kn['speedup']:.2f}x knn, bvh collision ({bvh_scaling}), "
-        f"incremental nn phase {incnn['nn_phase_speedup']:.2f}x at "
-        f"n={incnn['nn_phase_points']}, counts identical"
+        f"wrote {args.output} ({args.scale}): "
+        + "; ".join(f"{name} {h}" for name, h in headlines if h is not None)
+        + "; parity identical"
     )
     return 0
 

@@ -44,7 +44,7 @@ from ..obs.tracer import Tracer
 from ..planners.query import RoadmapQuery
 from ..service import PlanService, ServiceConfig, ServiceOverloadError
 from ..spec import WorkloadSpec
-from .perf import _query_results_equal
+from .perf import _query_results_equal, write_merged
 
 __all__ = ["run_suite", "main", "validate", "SCALES"]
 
@@ -395,20 +395,7 @@ def main(argv: "list[str]") -> int:
     rows = run_suite(args.scale, trace_path=args.trace)
     print(f"[serve] suite: {time.perf_counter() - t0:.1f}s", file=sys.stderr)
 
-    try:
-        with open(args.output) as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get("benchmarks"), dict
-        ):
-            raise ValueError("not a perf payload")
-    except (OSError, json.JSONDecodeError, ValueError):
-        payload = {"suite": "repro-perf", "scale": args.scale, "benchmarks": {}}
-    payload["benchmarks"].update(rows)
-    payload["serve_scale"] = args.scale
-    with open(args.output, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_merged(args.output, args.scale, rows, {"serve_scale": args.scale})
     tput = rows["serve_throughput"]
     lat = rows["serve_latency"]
     print(

@@ -43,7 +43,7 @@ __all__ = ["KernelBackend"]
 class KernelBackend(ABC):
     """Interchangeable implementation of the planner's hot primitives."""
 
-    #: Registry name (``"reference"``, ``"fast32"``, ``"numba"``, ...).
+    #: Registry name (``"reference"``, ``"fast32"``, ``"bvh"``, ...).
     name: str = "abstract"
     #: Internal compute dtype (outputs are always float64/bool/int64).
     dtype = np.float64

@@ -27,10 +27,11 @@ mirroring the predict-validate-replay strategy of
    to the frozen tree are one broadcast; nodes accepted *inside* the
    block contribute one incremental distance column each, so the nearest
    node for iteration *i* is an O(1) combine of the frozen row minimum
-   and the running block minimum — never a rebuild.  Ties (including
-   frozen-vs-block ties) fall back to replaying the reference selection
-   on the composed distance vector, so the chosen neighbour is identical
-   even in degenerate geometry.
+   and the running block minimum — never a rebuild.  Both minima keep
+   the earliest inserted node among equals, and a frozen-vs-block tie
+   goes to the older frozen node, so the chosen neighbour follows the
+   canonical (distance, insertion order) rule even in degenerate
+   geometry.
 3. **Speculatively validate** the extensions the replay will need —
    steer arithmetic, the ``q_new`` validity point check, the region
    predicate, and the local-plan segment — in batches.  Verdicts are
@@ -397,9 +398,9 @@ class RRT:
         )
 
         # Insertion-order store of every tree configuration — the same
-        # layout the oracle's NeighborFinder holds, so the tie-break
-        # fallback can replay the reference selection on an identical
-        # array.  Amortised growth like the roadmap's own storage.
+        # layout the oracle's NeighborFinder holds, so a store row's
+        # position is its insertion order.  Amortised growth like the
+        # roadmap's own storage.
         ids0, cfgs0 = tree.configs_array()
         n_store = int(ids0.size)
         cap = max(_BLOCK, n_store + n_nodes)
@@ -470,76 +471,48 @@ class RRT:
                     else:
                         samples[b] = cspace.sample(rng)
                         skey[b] = it - B + b  # globally unique per uniform draw
-            # -- 2. frozen-tree distances -------------------------------
-            # Brute mode: one broadcast.  Live mode: one uncharged
-            # canonical finder query per sample (the finder resolves its
-            # own ties; charges are rolled back because the oracle only
-            # pays at replay time).
+            # -- 2. frozen-tree nearest nodes ----------------------------
+            # Brute mode: one broadcast, whose argmin is the FIRST minimum
+            # — the earliest inserted row.  Live mode: one uncharged
+            # canonical finder query per sample (charges are rolled back
+            # because the oracle only pays at replay time).
             n0 = n_store
+            frozen_row = np.full(B, -1, dtype=np.int64)
+            frozen_min = np.full(B, np.inf)
             if live_nn is not None:
-                frozen_vid = np.full(B, -1, dtype=np.int64)
-                frozen_min = np.full(B, np.inf)
                 snap0 = nn_snap()
                 for b in range(B):
                     res = live_nn.knn(samples[b], 1)
                     if res:
-                        frozen_vid[b] = res[0][0]
+                        frozen_row[b] = row_of[res[0][0]]
                         frozen_min[b] = res[0][1]
                 nn_restore(snap0)
-                D = frozen_arg = frozen_tie = None
             elif n0:
                 D = np.empty((B, n0))
                 BruteForceNN._dist_block(store[:n0], samples, D)
-                frozen_min = D.min(axis=1)
-                frozen_arg = D.argmin(axis=1)
-                frozen_tie = (D == frozen_min[:, None]).sum(axis=1) > 1
-            else:
-                D = np.empty((B, 0))
-                frozen_min = np.full(B, np.inf)
-                frozen_arg = np.zeros(B, dtype=np.int64)
-                frozen_tie = np.zeros(B, dtype=bool)
+                frozen_row = D.argmin(axis=1)
+                frozen_min = D[np.arange(B), frozen_row]
             # Running minima over nodes accepted inside this block; one
             # incremental distance column per acceptance.
             blk_D = np.empty((B, B))
             blk_min = np.full(B, np.inf)
             blk_arg = np.full(B, -1)
-            blk_tie = np.zeros(B, dtype=bool)
             n_blk = 0
 
             def nearest(i: int) -> "tuple[int, float, int] | None":
                 """``(vid, distance, store row)`` of sample ``i``'s nearest
                 tree node under the current block state; None on an empty
-                tree.  Exact reference semantics: a unique strict minimum
-                is resolved directly, anything tied replays the oracle's
-                selection on the composed distance vector."""
+                tree.  The canonical (distance, insertion order) rule:
+                ``blk_arg`` holds the EARLIEST block column at ``blk_min``
+                and the frozen row is the earliest at ``frozen_min``, so a
+                frozen-vs-block tie goes to the older, frozen row."""
                 if n0 + n_blk == 0:
                     return None
-                fmin = frozen_min[i]
-                bmin = blk_min[i]
-                if live_nn is not None:
-                    if bmin < fmin:
-                        # blk_arg holds the EARLIEST block column at
-                        # blk_min, so within-block ties are already
-                        # canonical; frozen-vs-block ties fall through
-                        # to the frozen side (strictly older slots).
-                        row = n0 + int(blk_arg[i])
-                        return (int(store_ids[row]), float(bmin), row)
-                    vid = int(frozen_vid[i])
-                    return (vid, float(fmin), row_of[vid])
-                if bmin < fmin:
-                    if not blk_tie[i]:
-                        row = n0 + int(blk_arg[i])
-                        return (int(store_ids[row]), float(bmin), row)
-                elif fmin < bmin:
-                    if not frozen_tie[i]:
-                        row = int(frozen_arg[i])
-                        return (int(store_ids[row]), float(fmin), row)
-                d = np.concatenate((D[i], blk_D[i, :n_blk])) if n_blk else D[i]
-                # argmin returns the FIRST minimum, i.e. the earliest
-                # inserted node — the canonical (distance, insertion
-                # order) tie-break every NeighborFinder implements.
-                row = int(np.argmin(d))
-                return (int(store_ids[row]), float(d[row]), row)
+                if blk_min[i] < frozen_min[i]:
+                    row = n0 + int(blk_arg[i])
+                    return (int(store_ids[row]), float(blk_min[i]), row)
+                row = int(frozen_row[i])
+                return (int(store_ids[row]), float(frozen_min[i]), row)
 
             # Rows whose nearest node may have changed since their last
             # prediction; the rest already have their verdict cached.
@@ -672,8 +645,6 @@ class RRT:
                     col = blk_D[:, n_blk]
                     dirty |= col <= blk_min
                     better = col < blk_min
-                    blk_tie |= col == blk_min
-                    blk_tie[better] = False
                     blk_arg[better] = n_blk
                     np.copyto(blk_min, col, where=better)
                     n_store += 1

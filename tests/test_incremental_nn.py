@@ -15,7 +15,6 @@ import pytest
 
 from repro.knn import (
     BruteForceNN,
-    GridNN,
     IncrementalNN,
     KDTreeNN,
     available_nn_factories,
@@ -249,10 +248,9 @@ class TestRegistry:
             register_nn_factory("", BruteForceNN)
 
     def test_grid_not_registered(self):
-        """GridNN needs a geometry-dependent cell_size, so it has no
-        parameter-free registry entry."""
+        """The registry holds only parameter-free finders; there is no
+        grid backend."""
         assert "grid" not in available_nn_factories()
-        assert GridNN(2, cell_size=0.5) is not None  # still importable
 
 
 class TestPolicyAndEngineErrors:

@@ -6,7 +6,7 @@ The equivalence contract is two-tier (mirroring the bench gates):
 * ``reference`` is bit-exact with the historical inline expressions —
   covered implicitly by the rest of the test suite running on the
   default backend, and explicitly by the ``_dist_block`` parity test.
-* fast backends (``fast32``, and ``numba`` when installed) must agree
+* the fast backend (``fast32``) must agree
   with the reference on every *stable* query: one whose reference
   verdict survives inflating/shrinking all obstacle faces by eps
   (:meth:`EnvKernelData.inflated`).  Queries inside the eps boundary
@@ -29,7 +29,6 @@ from repro.kernels import (
     EnvKernelData,
     available_backends,
     get_backend,
-    numba_available,
     register,
 )
 from repro.kernels.base import KernelBackend
@@ -59,8 +58,8 @@ FALLBACK_EXAMPLES = 25
 #: Decision-boundary guard width for the stable-query contract.
 EPS = 1e-6
 
-#: Every fast backend present in this environment.
-FAST_BACKENDS = ["fast32"] + (["numba"] if numba_available() else [])
+#: Every statistically-equivalent (non-bit-exact) backend.
+FAST_BACKENDS = ["fast32"]
 
 
 def property_test(strategy_builder, fallback_gen, examples=50):
@@ -101,10 +100,7 @@ def test_default_backend_is_reference():
 
 
 def test_available_backends_lists_builtins():
-    names = available_backends()
-    assert "reference" in names and "fast32" in names
-    # numba appears iff its import succeeded — no silent half-registration.
-    assert ("numba" in names) == numba_available()
+    assert available_backends() == ["bvh", "fast32", "reference"]
 
 
 def test_unknown_backend_raises_with_listing():
@@ -147,17 +143,6 @@ def test_register_replaces_and_drops_cached_instance():
 
         _k._FACTORIES.pop("dummy-test", None)
         _k._INSTANCES.pop("dummy-test", None)
-
-
-def test_numba_absence_degrades_cleanly():
-    """Without numba the name is simply unregistered: selection raises the
-    ordinary unknown-backend error and nothing else changes."""
-    if numba_available():
-        assert get_backend("numba").name == "numba"
-    else:
-        assert "numba" not in available_backends()
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_backend("numba")
 
 
 # -- EnvKernelData -----------------------------------------------------------
@@ -288,7 +273,7 @@ def test_pairwise_accumulate_close_across_backends(seed):
     for name in ["reference"] + FAST_BACKENDS:
         out = np.empty((queries.shape[0], stored.shape[0]))
         get_backend(name).pairwise_accumulate(stored, queries, out)
-        rtol = 1e-12 if name in ("reference", "numba") else 1e-4
+        rtol = 1e-12 if name == "reference" else 1e-4
         np.testing.assert_allclose(out, expected, rtol=rtol, atol=1e-9)
 
 
@@ -321,10 +306,7 @@ def test_knn_block_min_matches_reference(seed):
             tiefree = gap > 1e-4 * np.maximum(rd1[:, kk], 1.0)
         else:
             tiefree = np.ones(m, dtype=bool)  # all points returned: same set
-        if name == "numba":  # float64 scalar loops: ids exact everywhere
-            assert np.array_equal(fi, ri)
-        else:
-            assert np.array_equal(np.sort(fi[tiefree]), np.sort(ri[tiefree]))
+        assert np.array_equal(np.sort(fi[tiefree]), np.sort(ri[tiefree]))
 
 
 def test_knn_block_min_pads_when_k_exceeds_store():

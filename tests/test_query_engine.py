@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.api import PlanRequest, plan
-from repro.knn import BruteForceNN, GridNN, KDTreeNN
+from repro.api import ExecutionPolicy, WorkloadSpec, plan
+from repro.knn import BruteForceNN, KDTreeNN
 from repro.obs import EV_QUERY_END, EV_QUERY_START, Tracer, summarize_events
 from repro.obs.summary import format_summary
 from repro.planners import PRM, FrozenRoadmap, QueryEngine, QueryRequest, RoadmapQuery
@@ -58,11 +58,7 @@ class TestSolveParity:
             solved += ref is not None
         assert solved > 0  # the battery must exercise real paths
 
-    @pytest.mark.parametrize(
-        "factory",
-        [KDTreeNN, lambda dim: GridNN(dim, cell_size=1.0)],
-        ids=["kdtree", "grid"],
-    )
+    @pytest.mark.parametrize("factory", [KDTreeNN], ids=["kdtree"])
     def test_nn_backend_is_drop_in(self, built, factory):
         cs, rmap = built
         ref_eng = QueryEngine(cs, rmap, k=8, nn_factory=BruteForceNN)
@@ -199,10 +195,10 @@ class TestObservability:
 class TestPlanReportIntegration:
     @pytest.fixture(scope="class")
     def report(self):
-        return plan(PlanRequest(
-            planner="prm", num_regions=8, samples_per_region=6,
-            num_pes=2, seed=0,
-        ))
+        return plan(
+            WorkloadSpec(planner="prm", num_regions=8, samples_per_region=6, seed=0),
+            execution=ExecutionPolicy(num_pes=2),
+        )
 
     def test_query_engine_is_cached(self, report):
         eng = report.query_engine()

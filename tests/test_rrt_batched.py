@@ -15,7 +15,7 @@ from repro.cspace.local_planner import StraightLinePlanner
 from repro.cspace.rigid_body import RigidBodyCSpace, box_body_points
 from repro.cspace.space import EuclideanCSpace
 from repro.geometry.environment import Environment
-from repro.geometry.environments import med_cube, mixed_30_env
+from repro.geometry.environments import free_env, med_cube, mixed_30_env
 from repro.geometry.primitives import AABB
 from repro.knn.incremental import IncrementalNN
 from repro.planners.roadmap import Roadmap
@@ -170,6 +170,30 @@ class _OwnSamplerCSpace(EuclideanCSpace):
 
     def sample(self, rng, n=None, within=None):
         return super().sample(rng, n, within)
+
+
+class _LatticeCSpace(EuclideanCSpace):
+    """Samples rounded to a 2.0-pitch lattice: nearly every nearest-node
+    query ties on distance, inside the frozen tree, inside a block and
+    across the two."""
+
+    def sample(self, rng, n=None, within=None):
+        return np.round(super().sample(rng, n, within) / 2.0) * 2.0
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_tie_storm_parity(seed):
+    """Under a lattice sampler with a step that always reaches the sample,
+    the batched nearest() rule — earliest row at each minimum, a
+    frozen-vs-block tie to the frozen side — must pick the oracle's
+    (distance, insertion order) neighbour every time."""
+    outs = []
+    for batched in (False, True):
+        env = free_env()
+        rrt = RRT(_LatticeCSpace(env), step_size=100.0, goal_bias=0.0, batched=batched)
+        result = rrt.grow(np.zeros(3), 60, np.random.default_rng(seed))
+        outs.append(_observe(result, env))
+    _assert_same(*outs)
 
 
 class TestMultiBlockBiasedGrowth:

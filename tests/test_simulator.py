@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DiffusivePolicy, HybridPolicy, RandKPolicy
@@ -142,25 +142,54 @@ class TestHeterogeneousCosts:
         assert res.total_work() == pytest.approx(sum(costs.values()))
 
 
+def _run_invariants(seed, P, n_tasks, topo, transfer_cost):
+    rng = np.random.default_rng(seed)
+    costs = rng.uniform(1, 20, n_tasks)
+    assignment = {t: int(rng.integers(0, P)) for t in range(n_tasks)}
+    sim = WorkStealingSimulator(
+        topo, lambda t, p: float(costs[t]), steal_policy=RandKPolicy(3),
+        transfer_cost=transfer_cost, rng=np.random.default_rng(seed + 1),
+    )
+    res = sim.run(assignment)
+    assert sorted(res.executed_by) == list(range(n_tasks))
+    total = float(costs.sum())
+    assert res.makespan >= total / P - 1e-9  # cannot beat perfect balance
+    assert res.total_work() == pytest.approx(total)
+    return res, total
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     P=st.integers(2, 12),
     n_tasks=st.integers(1, 60),
 )
+@example(seed=72, P=2, n_tasks=3)
 def test_simulation_invariants_property(seed, P, n_tasks):
-    """Property: every task executes once; makespan bounds hold."""
-    rng = np.random.default_rng(seed)
+    """Property: every task executes once; makespan bounds hold.
+
+    Upper bound: at every instant before the makespan some task is
+    unfinished, and an unfinished task is running, queued on a PE that is
+    running another (a live PE never idles with a non-empty deque), or
+    inside a steal transfer.  So the makespan is at most the total
+    execution time plus the total time transfers spend in flight.  A
+    serviced steal of ``n`` tasks is in flight ``latency(victim, thief,
+    n) + transfer_cost * n``, which is at most ``latency_remote +
+    (bandwidth_cost + transfer_cost) * n``.  Ownership transfer is not
+    free (Sec. II-A), so a thief can finish a stolen task later than its
+    victim would have, and the serial sum alone is not a bound: seed 72
+    on 2 PEs hands a 5.4-cost task over at t=16.92 and it lands at 19.97.
+    With zero latency and a free transfer the serial bound is exact.
+    """
     topo = ClusterTopology(P, cores_per_node=4)
-    costs = rng.uniform(1, 20, n_tasks)
-    assignment = {t: int(rng.integers(0, P)) for t in range(n_tasks)}
-    sim = WorkStealingSimulator(
-        topo, lambda t, p: float(costs[t]), steal_policy=RandKPolicy(3),
-        rng=np.random.default_rng(seed + 1),
+    res, total = _run_invariants(seed, P, n_tasks, topo, transfer_cost=2.0)
+    steals = sum(s.steals_serviced for s in res.pe_stats)
+    moved = sum(s.tasks_lost for s in res.pe_stats)
+    in_flight = steals * topo.latency_remote + (topo.bandwidth_cost + 2.0) * moved
+    assert res.makespan <= total + in_flight + 1e-9
+
+    free = ClusterTopology(
+        P, cores_per_node=4, latency_local=0.0, latency_remote=0.0, bandwidth_cost=0.0
     )
-    res = sim.run(assignment)
-    assert sorted(res.executed_by) == list(range(n_tasks))
-    total = float(costs.sum())
-    assert res.makespan >= total / P - 1e-9  # cannot beat perfect balance
+    res, total = _run_invariants(seed, P, n_tasks, free, transfer_cost=0.0)
     assert res.makespan <= total + 1e-9  # cannot be worse than serial
-    assert res.total_work() == pytest.approx(total)
